@@ -47,6 +47,21 @@ def _window_arg(text: str) -> DegreeWindow:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
+def _at_least(low: int):
+    """Argparse type: an integer no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
 def _field_arg(text: str):
     try:
         return parse_field_spec(text)
@@ -170,7 +185,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hilbert", help="graded dimension table of the quotient")
     p.add_argument("file")
-    p.add_argument("--max-degree", type=int, default=DEFAULT_MAX_DEGREE)
+    p.add_argument("--max-degree", type=_at_least(0), default=DEFAULT_MAX_DEGREE)
     p.add_argument("--vertex", default=None, help="restrict to paths from this vertex")
     p.add_argument(
         "--field",
@@ -184,11 +199,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", nargs="?", default=None,
                    help="optional presentation to validate before the run")
     p.add_argument("--suite", choices=SUITE_NAMES + ("all",), default="all")
-    p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--trials", type=_at_least(1), default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--window", type=_window_arg, default=DegreeWindow(-2, 10),
                    help="degree window LO:HI (use --window=LO:HI for negative LO)")
-    p.add_argument("--max-dim", type=int, default=3)
+    p.add_argument("--max-dim", type=_at_least(0), default=3)
     p.set_defaults(handler=_cmd_verify)
 
     return parser

@@ -149,7 +149,10 @@ def _parse_expression(text: str, line: int, q: WeightedQuiver) -> PathSum:
         start_col = tok.col
         coeff = sign
         if tok.kind == "number":
-            coeff = sign * Fraction(tok.text)
+            try:
+                coeff = sign * Fraction(tok.text)
+            except ZeroDivisionError:
+                fail(tok.col, f"coefficient {tok.text} has a zero denominator")
             pos += 1
             tok = peek()
             if tok is None or tok.kind != "op" or tok.text != "*":

@@ -1,26 +1,25 @@
-"""Exact dense linear algebra over the fields in :mod:`quiver_regrade.fields`.
+"""Exact linear algebra over the fields in :mod:`quiver_regrade.fields`.
 
-Matrices are immutable row-major tuples of scalars.  Rank comes in two
-independently coded routines:
+Matrices are immutable row-major tuples of scalars.  Elimination is done
+twice, by independently coded routines:
 
-* :func:`rank` - the primary one.  Over the rationals it runs fraction-free
-  (integer cross-multiplication with gcd normalization, denominators cleared
-  per row); over F_p it runs vectorized modular elimination.
+* :class:`Echelon` - the one elimination kernel.  It keeps sparse rows
+  ``{col: scalar}`` in a pivot map and is written only against the field
+  interface, so the rationals and every prime field share it.
+  :func:`rank_of_rows`, :func:`rank`, :func:`rref` (hence :func:`nullspace`
+  and :func:`solve_columns`) and :func:`column_space_complement` all run on it.
 * :func:`rank_naive` - a deliberately plain textbook Gaussian elimination
-  with division, used as a second opinion in verification.  Keep it free of
-  code shared with :func:`rank`.
+  with division on dense rows, used as a second opinion in verification.
+  Keep it free of code shared with :class:`Echelon`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd, lcm
-from typing import Iterable, Iterator, Sequence
+from heapq import heapify, heappop, heappush
+from typing import Iterable, Sequence
 
-import numpy as np
-
-from .fields import QQ, Field, PrimeField, Rationals, Scalar
+from .fields import Field, Scalar
 
 
 @dataclass(frozen=True)
@@ -156,88 +155,88 @@ class Matrix:
 
 
 # ---------------------------------------------------------------------------
-# primary rank: fraction-free over Q, vectorized modular elimination over F_p
+# the elimination kernel: sparse rows, a pivot map, any field
 
 
-class FractionFreeEchelon:
-    """Incremental integer echelon accumulator (rationals only).
+def _sparse(field: Field, row: Sequence[Scalar]) -> dict[int, Scalar]:
+    return {j: a for j, a in enumerate(row) if not field.is_zero(a)}
 
-    Rows are cleared of denominators, reduced against stored pivots by
-    cross-multiplication, and gcd-normalized, so no fractions are formed
-    during elimination.  Feeding rows one at a time allows early exit once
-    full column rank is reached.
+
+class Echelon:
+    """Row echelon form of a growing row family, rows stored sparse.
+
+    ``pivots`` maps each pivot column to a monic row ``{col: scalar}`` whose
+    other entries lie to the right of it.  Rows go in one at a time, so a
+    caller can stop as soon as the rank it needs is reached.
     """
 
-    def __init__(self, ncols: int):
-        self.ncols = ncols
-        self.pivots: list[tuple[int, list[int]]] = []  # (pivot column, integer row)
+    def __init__(self, field: Field):
+        self.field = field
+        self.pivots: dict[int, dict[int, Scalar]] = {}
 
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
+    def reduce(self, row: dict[int, Scalar]) -> dict[int, Scalar]:
+        """``row`` minus a combination of stored rows; no pivot column left.
 
-    def add_row(self, row: Sequence[Fraction]) -> bool:
-        """Reduce one row into the accumulator; True if it increased the rank."""
-        denom = lcm(*(fr.denominator for fr in row)) if row else 1
-        ints = [int(fr * denom) for fr in row]
-        for col, piv in self.pivots:
-            if ints[col]:
-                lead = piv[col]
-                coef = ints[col]
-                ints = [lead * a - coef * b for a, b in zip(ints, piv)]
-        for col, val in enumerate(ints):
-            if val:
-                g = 0
-                for a in ints:
-                    g = gcd(g, a)
-                if val < 0:
-                    g = -g
-                norm = [a // g for a in ints]
-                self.pivots.append((col, norm))
-                self.pivots.sort(key=lambda item: item[0])
-                return True
-        return False
+        Pivot columns are cleared in ascending order: clearing column c only
+        touches columns to its right, so each is cleared once.
+        """
+        f, pivots = self.field, self.pivots
+        sub, mul, neg, is_zero = f.sub, f.mul, f.neg, f.is_zero
+        row = dict(row)
+        heap = [c for c in row if c in pivots]
+        heapify(heap)
+        while heap:
+            c = heappop(heap)
+            coef = row.pop(c, None)
+            if coef is None:  # cancelled, or a duplicate heap entry
+                continue
+            for k, v in pivots[c].items():
+                if k == c:
+                    continue
+                if k in row:
+                    a = sub(row[k], mul(coef, v))
+                    if is_zero(a):
+                        del row[k]
+                    else:
+                        row[k] = a
+                else:
+                    row[k] = neg(mul(coef, v))
+                    if k in pivots:
+                        heappush(heap, k)
+        return row
 
+    def add(self, row: dict[int, Scalar]) -> bool:
+        """Reduce ``row`` and store it monic; True if the rank went up."""
+        row = self.reduce(row)
+        if not row:
+            return False
+        c = min(row)
+        inv = self.field.inv(row[c])
+        mul = self.field.mul
+        self.pivots[c] = {k: mul(inv, v) for k, v in row.items()}
+        return True
 
-def _rank_mod_p(rows: list[list[int]], ncols: int, p: int, stop_at: int | None = None) -> int:
-    if not rows or ncols == 0:
-        return 0
-    a = np.array(rows, dtype=np.int64) % p
-    nr = a.shape[0]
-    r = 0
-    for c in range(ncols):
-        sub = a[r:, c]
-        nz = np.nonzero(sub)[0]
-        if nz.size == 0:
-            continue
-        piv = r + int(nz[0])
-        if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-        inv = pow(int(a[r, c]), p - 2, p)
-        a[r] = a[r] * inv % p
-        col = a[:, c].copy()
-        col[r] = 0
-        a = (a - np.outer(col, a[r])) % p
-        r += 1
-        if r == nr or (stop_at is not None and r >= stop_at):
-            break
-    return r
+    def back_substitute(self) -> None:
+        """Clear every pivot column above its pivot: the reduced form."""
+        pivots = self.pivots
+        for c in sorted(pivots, reverse=True):  # larger pivots first: less fill-in
+            lead = pivots[c].pop(c)
+            pivots[c] = {c: lead, **self.reduce(pivots[c])}
 
 
 def rank_of_rows(
     field: Field, rows: Iterable[Sequence[Scalar]], ncols: int, stop_at: int | None = None
 ) -> int:
     """Rank of a row family, primary routine, early exit at ``stop_at``."""
-    if isinstance(field, Rationals):
-        acc = FractionFreeEchelon(ncols)
-        limit = ncols if stop_at is None else min(ncols, stop_at)
+    limit = ncols if stop_at is None else min(ncols, stop_at)
+    ech = Echelon(field)
+    r = 0
+    if limit > 0:
         for row in rows:
-            acc.add_row(row)
-            if acc.rank >= limit:
+            r += ech.add(_sparse(field, row))
+            if r >= limit:
                 break
-        return acc.rank
-    assert isinstance(field, PrimeField)
-    return _rank_mod_p([list(r) for r in rows], ncols, field.p, stop_at)
+    return r
 
 
 def rank(m: Matrix) -> int:
@@ -278,63 +277,14 @@ def rank_naive(m: Matrix) -> int:
 def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form and pivot column indices."""
     f = m.field
-    if isinstance(f, PrimeField):
-        return _rref_mod_p(m)
-    work = [list(row) for row in m.entries]
-    nr, nc = m.rows, m.cols
-    pivots: list[int] = []
-    r = 0
-    for c in range(nc):
-        piv = None
-        for i in range(r, nr):
-            if not f.is_zero(work[i][c]):
-                piv = i
-                break
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        inv = f.inv(work[r][c])
-        work[r] = [f.mul(inv, a) for a in work[r]]
-        for i in range(nr):
-            if i != r and not f.is_zero(work[i][c]):
-                coef = work[i][c]
-                work[i] = [f.sub(a, f.mul(coef, b)) for a, b in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-        if r == nr:
-            break
-    return Matrix.from_rows(f, work, nc), pivots
-
-
-def _rref_mod_p(m: Matrix) -> tuple[Matrix, list[int]]:
-    f = m.field
-    assert isinstance(f, PrimeField)
-    p = f.p
-    nr, nc = m.rows, m.cols
-    if nr == 0 or nc == 0:
-        return m, []
-    a = np.array([[int(x) for x in row] for row in m.entries], dtype=np.int64) % p
-    pivots: list[int] = []
-    r = 0
-    for c in range(nc):
-        sub = a[r:, c]
-        nz = np.nonzero(sub)[0]
-        if nz.size == 0:
-            continue
-        piv = r + int(nz[0])
-        if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-        inv = pow(int(a[r, c]), p - 2, p)
-        a[r] = a[r] * inv % p
-        col = a[:, c].copy()
-        col[r] = 0
-        a = (a - np.outer(col, a[r])) % p
-        pivots.append(c)
-        r += 1
-        if r == nr:
-            break
-    rows = tuple(tuple(int(x) for x in row) for row in a)
-    return Matrix(nr, nc, rows, f), pivots
+    ech = Echelon(f)
+    for row in m.entries:
+        ech.add(_sparse(f, row))
+    ech.back_substitute()
+    pivots = sorted(ech.pivots)
+    rows = [tuple(ech.pivots[c].get(j, f.zero) for j in range(m.cols)) for c in pivots]
+    rows += [(f.zero,) * m.cols] * (m.rows - len(pivots))
+    return Matrix(m.rows, m.cols, tuple(rows), f), pivots
 
 
 def nullspace(m: Matrix) -> Matrix:
@@ -379,22 +329,17 @@ def column_space_complement(m: Matrix) -> tuple[Matrix, Matrix]:
     """
     f = m.field
     n = m.rows
-    red, pivots = rref(m.transpose())
-    basis_rows = [red.entries[r] for r in range(len(pivots))]
-    pivot_cols = set(pivots)
-    free = [c for c in range(n) if c not in pivot_cols]
-    # reduce each standard basis vector against the reduced basis rows; the
-    # residue lives on the free coordinates and gives the quotient map
+    ech = Echelon(f)
+    for j in range(m.cols):
+        ech.add(_sparse(f, m.column(j)))
+    free = [c for c in range(n) if c not in ech.pivots]
+    # the residue of each standard basis vector modulo im(m) lives on the
+    # free coordinates and gives the quotient map
     q = [[f.zero] * n for _ in range(len(free))]
     for i in range(n):
-        vec = [f.zero] * n
-        vec[i] = f.one
-        for r, pc in enumerate(pivots):
-            coef = vec[pc]
-            if not f.is_zero(coef):
-                vec = [f.sub(a, f.mul(coef, b)) for a, b in zip(vec, basis_rows[r])]
+        residue = ech.reduce({i: f.one})
         for k, c in enumerate(free):
-            q[k][i] = vec[c]
+            q[k][i] = residue.get(c, f.zero)
     e = [[f.one if free[k] == i else f.zero for k in range(len(free))] for i in range(n)]
     q_m = Matrix.from_rows(f, q, n) if free else Matrix.zero(f, 0, n)
     e_m = Matrix.from_rows(f, e, len(free)) if n else Matrix.zero(f, 0, len(free))

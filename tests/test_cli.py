@@ -164,6 +164,22 @@ class TestUsage:
         assert main(["regrade"]) == 2
         assert main(["split", "x.quiver"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--suite", "split", "--trials", "0"],
+            ["verify", "--suite", "split", "--trials", "-5"],
+            ["verify", "--suite", "split", "--max-dim", "-1"],
+            ["hilbert", "KXY", "--max-degree", "-1"],
+        ],
+    )
+    def test_out_of_range_count_is_usage_error(self, argv, kxy_file, capsys):
+        argv = [kxy_file if a == "KXY" else a for a in argv]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "must be at least" in captured.err
+        assert captured.out == ""
+
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "quiver-regrade" in capsys.readouterr().out
@@ -179,3 +195,14 @@ def test_module_entry_subprocess(golden_dir):
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "1"
+
+
+def test_cli_import_does_not_load_numpy():
+    # The package has no runtime dependencies; a fresh import must not pull numpy in.
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, quiver_regrade.cli; print('numpy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -155,6 +155,14 @@ class TestDiagnostics:
         assert (d.line, d.col) == (6, 7)
         assert "mixed degrees" in d.message
 
+    def test_zero_denominator_coefficient(self):
+        ds = diagnostics_of(
+            "[quiver]\nvertex v\narrow x v v 1\narrow y v v 1\n[relations]\nx*y - 1/0*y*x\n"
+        )
+        (d,) = ds
+        assert (d.line, d.col) == (6, 7)
+        assert "zero denominator" in d.message
+
     def test_zero_relation(self):
         ds = diagnostics_of("[quiver]\nvertex v\narrow x v v 1\n[relations]\nx - x\n")
         assert any("identically zero" in d.message for d in ds)

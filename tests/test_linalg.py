@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from quiver_regrade import GF, QQ, Matrix, nullspace, rank, rank_naive, rref, solve_columns
 from quiver_regrade.linalg import column_space_complement
 
-FIELDS = [QQ, GF(7), GF(32003)]
+FIELDS = [QQ, GF(7), GF(32003), GF(4294967311)]  # the last exceeds int64 products
 
 
 def mk(field, rows, cols=None):
@@ -109,6 +109,19 @@ class TestRank:
             c = rng.randrange(0, 5)
             m = mk_random(field, rng, r, c, -4, 4)
             assert rank(m) == rank_naive(m)
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_rank_two_products(self, field):
+        # full-range entries: over a large prime their products overflow int64
+        rng = random.Random("linalg-rank-two")
+        for _ in range(20):
+            a = mk_random(field, rng, 5, 2, 0, 2**40)
+            b = mk_random(field, rng, 2, 5, 0, 2**40)
+            if rank_naive(a) < 2 or rank_naive(b) < 2:
+                continue
+            m = a.mul(b)
+            assert rank(m) == rank_naive(m) == 2
+            assert len(rref(m)[1]) == 2
 
 
 class TestRref:
