@@ -7,9 +7,10 @@ matrix code can stay field-agnostic.  No floating point anywhere.
 
 from __future__ import annotations
 
+import operator
 import os
 from fractions import Fraction
-from typing import Union
+from typing import Iterable, Union
 
 Scalar = Union[Fraction, int]
 
@@ -72,6 +73,10 @@ class Rationals:
     def neg(self, a: Fraction) -> Fraction:
         return -a
 
+    def dot(self, xs: Iterable[Fraction], ys: Iterable[Fraction]) -> Fraction:
+        """Sum of the pairwise products, as one field operation."""
+        return sum(map(operator.mul, xs, ys), Fraction(0))
+
     def inv(self, a: Fraction) -> Fraction:
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
@@ -133,6 +138,9 @@ class PrimeField:
 
     def neg(self, a: int) -> int:
         return -a % self.p
+
+    def dot(self, xs: Iterable[int], ys: Iterable[int]) -> int:
+        return sum(map(operator.mul, xs, ys)) % self.p
 
     def inv(self, a: int) -> int:
         if a % self.p == 0:

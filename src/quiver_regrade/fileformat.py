@@ -153,6 +153,8 @@ def _parse_expression(text: str, line: int, q: WeightedQuiver) -> PathSum:
                 coeff = sign * Fraction(tok.text)
             except ZeroDivisionError:
                 fail(tok.col, f"coefficient {tok.text} has a zero denominator")
+            except ValueError:  # past the interpreter's limit on integer digits
+                fail(tok.col, f"coefficient of {len(tok.text)} characters is too long")
             pos += 1
             tok = peek()
             if tok is None or tok.kind != "op" or tok.text != "*":

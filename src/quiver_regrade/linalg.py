@@ -63,17 +63,10 @@ class Matrix:
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: ({self.rows}x{self.cols}) @ ({other.rows}x{other.cols})")
         f = self.field
-        out = []
-        for i in range(self.rows):
-            left = self.entries[i]
-            row = []
-            for j in range(other.cols):
-                acc = f.zero
-                for k in range(self.cols):
-                    acc = f.add(acc, f.mul(left[k], other.entries[k][j]))
-                row.append(acc)
-            out.append(tuple(row))
-        return Matrix(self.rows, other.cols, tuple(out), f)
+        dot = f.dot
+        cols = tuple(zip(*other.entries)) or ((),) * other.cols
+        out = tuple(tuple(dot(left, col) for col in cols) for left in self.entries)
+        return Matrix(self.rows, other.cols, out, f)
 
     def add(self, other: "Matrix") -> "Matrix":
         self._same_shape(other)

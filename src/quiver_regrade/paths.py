@@ -266,22 +266,18 @@ def enumerate_paths(
         return found
 
     starts = [source] if source is not None else list(q.vertices)
-    stack: list[str] = []
-
-    def walk(v: str, remaining: int):
-        for a in q.out_arrows.get(v, ()):
-            if a.degree > remaining:
-                continue
-            stack.append(a.name)
-            if a.degree == remaining:
-                if target is None or a.target == target:
-                    note(Path(stack_source, a.target, degree, tuple(stack)))
-            else:
-                walk(a.target, remaining - a.degree)
-            stack.pop()
-
+    out = q.out_arrows
     for start in starts:
-        stack_source = start
-        walk(start, degree)
+        # depth-first with an explicit stack of walks still to extend:
+        # (end vertex, degree still to go, arrow names so far)
+        stack = [(start, degree, ())]
+        while stack:
+            v, remaining, names = stack.pop()
+            for a in out.get(v, ()):
+                if a.degree == remaining:
+                    if target is None or a.target == target:
+                        note(Path(start, a.target, degree, names + (a.name,)))
+                elif a.degree < remaining:
+                    stack.append((a.target, remaining - a.degree, names + (a.name,)))
     found.sort(key=Path.sort_key)
     return found

@@ -3,11 +3,16 @@
 Every generator takes an explicit ``random.Random`` so a trial is replayable
 from its seed string alone.  Nothing here reads global RNG state.
 
-Random morphisms are drawn from the actual space of morphisms: the
-commuting-square conditions are linear in the blocks, so we assemble that
-linear system, compute its nullspace, and take a random combination of the
-basis.  This can legitimately produce the zero morphism when the space is
-small; callers who need nonzero morphisms should retry with another trial.
+Random morphisms are drawn from the actual space of morphisms.  The
+commuting-square conditions are linear in the block entries and have
+Kronecker structure, vec(phi_t A - B phi_s) = (A^T (x) I) vec phi_t -
+(I (x) B) vec phi_s, so each arrow block contributes sparse rows that go
+straight into the shared :class:`~quiver_regrade.linalg.Echelon` kernel; no
+dense system is ever built.  The reduced row echelon form of that system is
+unique for the fixed numbering of the unknowns, so drawing one scalar per free
+unknown, in ascending order, replays the same morphism from the same seed.
+This can legitimately produce the zero morphism when the space is small;
+callers who need nonzero morphisms should retry with another trial.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import random
 from fractions import Fraction
 
 from .fields import QQ, Field, PrimeField, Scalar
-from .linalg import Matrix, nullspace
+from .linalg import Echelon, Matrix
 from .paths import IdealPresentation, PathSum, UniformElement, enumerate_paths
 from .quiver import Arrow, WeightedQuiver
 from .representation import DegreeWindow, GradedMorphism, GradedRep, Slot
@@ -166,61 +171,68 @@ def random_morphism(
 ) -> GradedMorphism:
     """A random point of the space of morphisms from source to target.
 
-    Blocks are defined on every slot present in both representations.  The
-    commuting squares are linear constraints on the block entries; we solve
-    them exactly and randomize over the solution space.
+    Blocks are defined on every slot present in both representations; the
+    entry (i, j) of the block at a slot is one unknown, numbered slot by slot
+    and row-major.  For each arrow block A of the source and B of the target,
+    the square vec(phi_t A - B phi_s) = (A^T (x) I) vec phi_t - (I (x) B)
+    vec phi_s = 0 gives one sparse row per entry, fed straight into an
+    :class:`Echelon`.  After back substitution the pivot map is the reduced
+    row echelon form of the system, which is unique for this column order, so
+    the random point is reproducible: one ``random_scalar`` per free column in
+    ascending order is its coordinate, and each pivot unknown is minus the
+    combination of those coordinates that its reduced row names.
     """
     if source.quiver != target.quiver or source.window != target.window:
         raise ValueError("morphism endpoints must share quiver and window")
     if source.field != target.field:
         raise ValueError("morphism endpoints must share the field")
     field = source.field
+    is_zero, sub = field.is_zero, field.sub
     slots = sorted(set(source.dims) & set(target.dims))
-    shapes = {s: (target.dims[s], source.dims[s]) for s in slots}
-    var_index: dict[tuple[Slot, int, int], int] = {}
+    # the unknown for entry (i, j) of the block at slot is offset[slot] + i * cols + j
+    offset: dict[Slot, int] = {}
+    nvars = 0
     for slot in slots:
-        r, c = shapes[slot]
-        for i in range(r):
-            for j in range(c):
-                var_index[(slot, i, j)] = len(var_index)
-    nvars = len(var_index)
-    rows: list[list[Scalar]] = []
+        offset[slot] = nvars
+        nvars += target.dims[slot] * source.dims[slot]
+    ech = Echelon(field)
     for (name, d) in sorted(source.mats):
         a = source.quiver.arrow(name)
         skey = (a.source, d)
         tkey = (a.target, d + a.degree)
         b_mat = target.mats.get((name, d))
-        if b_mat is None or skey not in shapes or tkey not in shapes:
+        if b_mat is None or skey not in offset or tkey not in offset:
             continue
-        a_mat = source.mats[(name, d)]
-        nb_t, na_t = shapes[tkey]
-        nb_s, na_s = shapes[skey]
-        # one equation per entry of (phi_t A - B phi_s), an (nb_t x na_s) block
-        for i in range(nb_t):
+        a_rows = source.mats[(name, d)].entries
+        na_t, na_s = source.dims[tkey], source.dims[skey]
+        t0, s0 = offset[tkey], offset[skey]
+        # one equation per entry (i, j) of phi_t A - B phi_s
+        for i, b_row in enumerate(b_mat.entries):
             for j in range(na_s):
-                row = [field.zero] * nvars
+                row: dict[int, Scalar] = {}
                 for k in range(na_t):
-                    row[var_index[(tkey, i, k)]] = field.add(
-                        row[var_index[(tkey, i, k)]], a_mat.get(k, j)
-                    )
-                for k in range(nb_s):
-                    idx = var_index[(skey, k, j)]
-                    row[idx] = field.sub(row[idx], b_mat.get(i, k))
-                if any(not field.is_zero(x) for x in row):
-                    rows.append(row)
-    values = [field.zero] * nvars
-    if nvars:
-        system = Matrix.from_rows(field, rows, nvars)
-        basis = nullspace(system)
-        for j in range(basis.cols):
-            coeff = random_scalar(rng, field)
-            if field.is_zero(coeff):
-                continue
-            for i in range(nvars):
-                values[i] = field.add(values[i], field.mul(coeff, basis.get(i, j)))
+                    x = a_rows[k][j]
+                    if not is_zero(x):
+                        row[t0 + i * na_t + k] = x
+                for k, x in enumerate(b_row):
+                    col = s0 + k * na_s + j
+                    y = sub(row.get(col, field.zero), x)
+                    if is_zero(y):
+                        row.pop(col, None)
+                    else:
+                        row[col] = y
+                if row:
+                    ech.add(row)
+    ech.back_substitute()
+    pivots = ech.pivots
+    values = {c: random_scalar(rng, field) for c in range(nvars) if c not in pivots}
+    for pc, prow in pivots.items():
+        free = [k for k in prow if k != pc]
+        values[pc] = field.neg(field.dot([values[k] for k in free], [prow[k] for k in free]))
     blocks: dict[Slot, Matrix] = {}
     for slot in slots:
-        r, c = shapes[slot]
-        entries = [[values[var_index[(slot, i, j)]] for j in range(c)] for i in range(r)]
+        r, c = target.dims[slot], source.dims[slot]
+        base = offset[slot]
+        entries = [[values[base + i * c + j] for j in range(c)] for i in range(r)]
         blocks[slot] = Matrix.from_rows(field, entries, c)
     return GradedMorphism(source, target, blocks)

@@ -234,7 +234,14 @@ def collapse_rep(t: SplitTrace, rep: GradedRep) -> GradedRep:
 
 @dataclass
 class GradedMorphism:
-    """Degree-0 blocks per component, commuting with every arrow action."""
+    """Degree-0 blocks per component, commuting with every arrow action.
+
+    The constructor checks the shape of every block, then every commuting
+    square phi_t A = B phi_s for which the target's arrow block B and both
+    blocks phi_s, phi_t exist.  A square whose two sides are empty matrices
+    (no rows or no columns) holds trivially and forms no product; every other
+    square is multiplied out and compared entry by entry.
+    """
 
     source: GradedRep
     target: GradedRep
@@ -254,19 +261,17 @@ class GradedMorphism:
                 raise ValueError(
                     f"block at ({v!r}, {d}) has shape {m.rows}x{m.cols}, expected {nt}x{ns}"
                 )
-        for a in src.quiver.arrows:
-            for (name, d), src_mat in src.mats.items():
-                if name != a.name:
-                    continue
-                tgt_mat = tgt.mats.get((name, d))
-                left = self.blocks.get((a.target, d + a.degree))
-                right = self.blocks.get((a.source, d))
-                if tgt_mat is None or left is None or right is None:
-                    continue
-                if left.mul(src_mat) != tgt_mat.mul(right):
-                    raise MorphismSquareError(
-                        f"square fails at arrow {a.name!r}, degree {d}"
-                    )
+        for (name, d), src_mat in src.mats.items():
+            a = src.quiver.arrow(name)
+            tgt_mat = tgt.mats.get((name, d))
+            left = self.blocks.get((a.target, d + a.degree))
+            right = self.blocks.get((a.source, d))
+            if tgt_mat is None or left is None or right is None:
+                continue
+            if left.rows == 0 or right.cols == 0:
+                continue  # both sides are empty matrices of the same shape
+            if left.mul(src_mat).entries != tgt_mat.mul(right).entries:
+                raise MorphismSquareError(f"square fails at arrow {name!r}, degree {d}")
 
     def block(self, v: str, d: int) -> Matrix | None:
         return self.blocks.get((v, d))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import pathlib
 
 import pytest
@@ -16,6 +17,18 @@ from quiver_regrade.catalog import (
 )
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
+
+SRC_DIR = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+
+@pytest.fixture(scope="session", autouse=True)
+def src_on_subprocess_path():
+    """Fresh interpreters that tests start import the package from src/, as
+    pytest's own ``pythonpath`` setting makes this one do."""
+    paths = [str(SRC_DIR), os.environ.get("PYTHONPATH", "")]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", os.pathsep.join(p for p in paths if p))
+        yield
 
 
 @pytest.fixture

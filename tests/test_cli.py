@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quiver_regrade.cli import main
 
@@ -123,6 +129,15 @@ class TestHilbert:
     def test_bad_field_spec(self, kxy_file, capsys):
         assert main(["hilbert", kxy_file, "--max-degree", "3", "--field", "p4"]) == 2
 
+    def test_deep_single_loop(self, tmp_path, capsys):
+        # a degree-1200 path is 1200 arrows long: the walk must not recurse per arrow
+        p = tmp_path / "loop.quiver"
+        p.write_text("[quiver]\nvertex v\narrow x v v 1\n")
+        assert main(["hilbert", str(p), "--max-degree", "1200"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert len(out) == 1201
+        assert out[-1] == "1200 1"
+
 
 class TestVerify:
     def test_small_run_ok(self, capsys):
@@ -206,3 +221,60 @@ def test_cli_import_does_not_load_numpy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+# small generated presentation files, mostly valid: at most three vertices and
+# three arrows keep every hilbert table to degree 6 cheap
+_odd = st.sampled_from(["x", "e_u", "1a", "y'", "0", "-1", "1/0", "3/"])
+
+
+def _sometimes_odd(strategy):
+    """``strategy``, or one time in twelve a token that may not belong there."""
+    return st.integers(0, 11).flatmap(lambda k: _odd if k == 0 else strategy)
+
+
+@st.composite
+def presentation_files(draw):
+    vertices = draw(
+        st.lists(st.sampled_from(["u", "v", "w"]), min_size=1, max_size=3, unique=True)
+    )
+    lines = ["[quiver]", *(f"vertex {v}" for v in vertices)]
+    arrows = ["a", "b", "c"][: draw(st.integers(0, 3))]
+    for a in arrows:
+        src, tgt = (draw(_sometimes_odd(st.sampled_from(vertices))) for _ in range(2))
+        deg = draw(_sometimes_odd(st.sampled_from(["1", "2", "3"])))
+        lines.append(f"arrow {a} {src} {tgt} {deg}")
+    lines.append("[relations]")
+    atoms = _sometimes_odd(st.sampled_from(arrows + [f"e_{v}" for v in vertices]))
+    for _ in range(draw(st.integers(0, 3))):
+        terms = []
+        for k in range(draw(st.integers(1, 3))):
+            op = draw(_sometimes_odd(st.sampled_from(["" if k == 0 else " + ", " - "])))
+            coeff = draw(_sometimes_odd(st.sampled_from(["", "2*", "-1/2*"])))
+            word = "*".join(draw(st.lists(atoms, min_size=1, max_size=3)))
+            terms.append(op + coeff + word)
+        lines.append("".join(terms))
+    return "\n".join(lines) + "\n"
+
+
+commands = st.one_of(
+    st.just(["validate"]),
+    st.builds(
+        lambda d, extra: ["hilbert", "--max-degree", str(d), *extra],
+        st.integers(0, 6),
+        st.sampled_from([[], ["--field", "q"], ["--field", "p7"], ["--vertex", "u"]]),
+    ),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(text=presentation_files(), command=commands)
+def test_generated_files_exit_cleanly(text, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "gen.quiver"
+        path.write_text(text, encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main([command[0], str(path), *command[1:]])
+    assert rc in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

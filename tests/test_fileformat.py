@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -163,6 +164,17 @@ class TestDiagnostics:
         assert (d.line, d.col) == (6, 7)
         assert "zero denominator" in d.message
 
+    def test_overlong_coefficient(self):
+        # beyond the interpreter's integer-digit limit, where one is set
+        digits = "7" * (getattr(sys, "get_int_max_str_digits", lambda: 0)() + 1)
+        text = f"[quiver]\nvertex v\narrow x v v 1\n[relations]\nx - {digits}*x\n"
+        try:
+            parse_presentation(text)
+        except PresentationError as exc:
+            (d,) = exc.diagnostics
+            assert (d.line, d.col) == (5, 5)
+            assert "too long" in d.message
+
     def test_zero_relation(self):
         ds = diagnostics_of("[quiver]\nvertex v\narrow x v v 1\n[relations]\nx - x\n")
         assert any("identically zero" in d.message for d in ds)
@@ -228,6 +240,27 @@ def test_random_presentation_round_trip(seed):
     q2, ideal2 = parse_presentation(text)
     assert q2 == q
     assert ideal2 == ideal
+
+
+# fragments of the grammar, so that generated text reaches past the tokenizer
+FRAGMENTS = [
+    "[quiver]", "[relations]", "[x]", "vertex ", "arrow ", "u", "v", "x", "y'", "e_u",
+    "e_", " ", "\n", "\t", "#", "*", "+", "-", "/", "0", "1", "2", "1/0", "2/3", "é", "٣",
+]
+
+presentation_like = st.one_of(
+    st.text(max_size=200),
+    st.lists(st.sampled_from(FRAGMENTS), max_size=60).map("".join),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=presentation_like)
+def test_parse_raises_only_presentation_error(text):
+    try:
+        parse_presentation(text)
+    except PresentationError as exc:
+        assert exc.diagnostics
 
 
 class TestRenderRepresentation:

@@ -22,6 +22,12 @@ from quiver_regrade import (
     trivial_path,
     uniform_components,
 )
+from quiver_regrade.catalog import (
+    bridge_quiver,
+    heavy_loop_quiver,
+    kxy_presentation,
+    kxy_split_presentation,
+)
 
 
 class TestPath:
@@ -115,6 +121,65 @@ class TestEnumeratePaths:
         a = enumerate_paths(bridge, 3)
         b = enumerate_paths(bridge, 3)
         assert a == b
+
+
+def recursive_paths(q, degree, source=None, target=None):
+    """Reference walk: one recursion level per arrow, then the canonical sort."""
+    if degree == 0:
+        return sorted(
+            (trivial_path(v) for v in q.vertices
+             if source in (None, v) and target in (None, v)),
+            key=Path.sort_key,
+        )
+    found = []
+
+    def walk(start, v, remaining, names):
+        for a in q.out_arrows.get(v, ()):
+            if a.degree == remaining and target in (None, a.target):
+                found.append(Path(start, a.target, degree, names + (a.name,)))
+            elif a.degree < remaining:
+                walk(start, a.target, remaining - a.degree, names + (a.name,))
+
+    for start in [source] if source is not None else q.vertices:
+        walk(start, start, degree, ())
+    return sorted(found, key=Path.sort_key)
+
+
+CATALOG_QUIVERS = {
+    "kxy": lambda: kxy_presentation()[0],
+    "kxy_split": lambda: kxy_split_presentation()[0],
+    "bridge2": lambda: bridge_quiver(2),
+    "bridge3": lambda: bridge_quiver(3),
+    "heavy_loop": lambda: heavy_loop_quiver(3),
+}
+
+
+class TestIterativeWalk:
+    @pytest.mark.parametrize("name", sorted(CATALOG_QUIVERS))
+    def test_matches_recursive_walk_on_catalog(self, name):
+        q = CATALOG_QUIVERS[name]()
+        ends = [None, *q.vertices]
+        for d in range(7):
+            for source in ends:
+                for target in ends:
+                    assert enumerate_paths(q, d, source, target) == recursive_paths(
+                        q, d, source, target
+                    )
+
+    @pytest.mark.parametrize("name", sorted(CATALOG_QUIVERS))
+    def test_limit_trips_at_the_same_count(self, name):
+        q = CATALOG_QUIVERS[name]()
+        for d in range(7):
+            count = len(recursive_paths(q, d))
+            assert len(enumerate_paths(q, d, limit=count)) == count
+            if count:
+                with pytest.raises(PathCountLimit, match=f"more than {count - 1} paths"):
+                    enumerate_paths(q, d, limit=count - 1)
+
+    def test_deep_walk_needs_no_recursion(self):
+        q = heavy_loop_quiver(1)
+        (p,) = enumerate_paths(q, 5000)
+        assert p.arrows == ("w",) * 5000
 
 
 class TestPathSum:

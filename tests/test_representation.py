@@ -319,6 +319,82 @@ class TestGradedMorphism:
             compose_morphisms(psi, phi)
 
 
+class TestSquareCheck:
+    # u -a-> v -b-> w -c-> x, and d parallel to a; u and x carry zero spaces,
+    # so the squares at a, c and d have an empty side
+    QUIVER = WeightedQuiver(
+        vertices=("u", "v", "w", "x"),
+        arrows=(
+            Arrow("a", "u", "v", 1),
+            Arrow("b", "v", "w", 1),
+            Arrow("c", "w", "x", 1),
+            Arrow("d", "u", "v", 1),
+        ),
+    )
+
+    def rep(self, b_action):
+        w_dim = b_action.rows
+        return GradedRep(
+            quiver=self.QUIVER,
+            window=DegreeWindow(0, 3),
+            field=QQ,
+            dims={("u", 0): 0, ("v", 1): 2, ("w", 2): w_dim, ("x", 3): 0},
+            mats={
+                ("a", 0): Matrix.zero(QQ, 2, 0),
+                ("c", 2): Matrix.zero(QQ, 0, w_dim),
+                ("d", 0): Matrix.zero(QQ, 2, 0),
+                ("b", 1): b_action,
+            },
+        )
+
+    @pytest.fixture
+    def chain(self):
+        return self.rep(qmat([[1, 0], [0, 1]])), self.rep(qmat([[0, 1], [1, 0]]))
+
+    def blocks(self):
+        return {
+            ("u", 0): Matrix.zero(QQ, 0, 0),
+            ("v", 1): Matrix.identity(QQ, 2),
+            ("w", 2): Matrix.identity(QQ, 2),
+            ("x", 3): Matrix.zero(QQ, 0, 0),
+        }
+
+    def test_failing_square_among_empty_ones_is_named(self, chain):
+        source, target = chain
+        with pytest.raises(MorphismSquareError, match="square fails at arrow 'b', degree 1"):
+            GradedMorphism(source=source, target=target, blocks=self.blocks())
+
+    def test_commuting_blocks_pass(self, chain):
+        source, target = chain
+        swap = qmat([[0, 1], [1, 0]])
+        phi = GradedMorphism(source=source, target=target, blocks=self.blocks() | {("w", 2): swap})
+        assert phi.block("w", 2) == swap
+
+    def test_square_through_a_zero_space_is_multiplied_out(self, chain):
+        # phi_w A passes through the zero space at w in the source and is the
+        # zero 2x2 matrix, while B phi_v is not: the square fails
+        _, target = chain
+        source = self.rep(Matrix.zero(QQ, 0, 2))
+        blocks = self.blocks() | {("w", 2): Matrix.zero(QQ, 2, 0)}
+        with pytest.raises(MorphismSquareError, match="square fails at arrow 'b', degree 1"):
+            GradedMorphism(source=source, target=target, blocks=blocks)
+
+    @pytest.mark.parametrize("slot", [("u", 0), ("x", 3)])
+    def test_zero_size_block_of_wrong_shape_rejected(self, chain, slot):
+        source, _ = chain
+        wrong = Matrix.zero(QQ, 0, 3)
+        with pytest.raises(ValueError, match="has shape 0x3, expected 0x0") as exc:
+            GradedMorphism(source=source, target=source, blocks=self.blocks() | {slot: wrong})
+        assert not isinstance(exc.value, MorphismSquareError)
+
+    @pytest.mark.parametrize("field", [QQ, GF(7)], ids=lambda f: f.spec)
+    def test_mul_with_empty_inner_dimension_is_typed_zero(self, field):
+        prod = Matrix.zero(field, 2, 0).mul(Matrix.zero(field, 0, 3))
+        assert (prod.rows, prod.cols) == (2, 3)
+        assert prod.entries == ((field.zero,) * 3,) * 2
+        assert all(type(x) is type(field.zero) for row in prod.entries for x in row)
+
+
 class TestRandomMorphismsAreHom:
     @pytest.mark.parametrize("seed", range(5))
     def test_squares_commute_by_construction(self, seed, small_window):
