@@ -17,7 +17,14 @@ from .fileformat import PresentationError, parse_presentation, serialize_present
 from .hilbert import DEFAULT_MAX_DEGREE, graded_dim
 from .paths import IdealPresentation, PathCountLimit
 from .quiver import WeightedQuiver, validate, weight_discrepancy
-from .regrade import RegradeResult, SplitError, regrade, rewrite_ideal, split_arrow
+from .regrade import (
+    DiscrepancyLimit,
+    RegradeResult,
+    SplitError,
+    regrade,
+    rewrite_ideal,
+    split_arrow,
+)
 from .representation import DegreeWindow
 from .verify import SUITE_NAMES, SuiteConfig, render_reports, run_suites
 
@@ -113,7 +120,11 @@ def _cmd_split(args) -> int:
 
 def _cmd_regrade(args) -> int:
     q, ideal = _load(args.file)
-    text = render_regrade(regrade(q, ideal))
+    try:
+        result = regrade(q, ideal)
+    except DiscrepancyLimit as exc:
+        raise _CliFailure(str(exc)) from exc
+    text = render_regrade(result)
     if args.output is not None:
         Path(args.output).write_text(text, encoding="utf-8")
     else:

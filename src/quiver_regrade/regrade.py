@@ -6,6 +6,13 @@ weight discrepancy by exactly one.  Paths and relations are transported by
 the degree-preserving rewrite that expands each occurrence of b into the two
 halves.  Iterating the split on a deterministically chosen arrow reaches a
 quiver whose arrows all have degree 1 in exactly discrepancy-many steps.
+
+The full regrade runs its splits on the quiver alone and transports the
+relations once, at the end, through the composite substitution that sends
+each original arrow to the chain of final arrows it became.  That equals
+rewriting the relations at every split: the chains partition the final
+arrows, so the substitution is injective on paths and no two terms merge,
+and the canonical term order is a sort on the final paths either way.
 """
 
 from __future__ import annotations
@@ -21,9 +28,19 @@ from .quiver import (
     weight_discrepancy,
 )
 
+# Each split rebuilds the whole quiver and keeps it in the trace, so regrade
+# time and memory grow quadratically with the discrepancy.  Through the CLI
+# (2-core host, Python 3.11) one loop of discrepancy 1000 regrades in 0.5 s at
+# 55 MB peak RSS, and of discrepancy 2000 in 2.1 s at 172 MB.
+MAX_DISCREPANCY = 2000
+
 
 class SplitError(ValueError):
     pass
+
+
+class DiscrepancyLimit(SplitError):
+    """Raised before regrading a quiver whose discrepancy exceeds the guard."""
 
 
 @dataclass(frozen=True)
@@ -62,32 +79,46 @@ def split_arrow(q: WeightedQuiver, name: str) -> SplitTrace:
     return SplitTrace(name, z, first_name, second_name, q, after)
 
 
+Substitution = dict[str, tuple[str, ...]]
+
+
+def _expand(p: Path, sub: Substitution) -> Path:
+    """Replace each arrow named in ``sub`` by its tuple of arrows."""
+    if sub.keys().isdisjoint(p.arrows):
+        return p
+    names = tuple(m for n in p.arrows for m in sub.get(n, (n,)))
+    return Path(p.source, p.target, p.degree, names)
+
+
+def _transport(x: UniformElement, sub: Substitution) -> UniformElement:
+    moved = x.sum.map_paths(lambda p: _expand(p, sub))
+    return UniformElement(moved, x.source, x.target, x.degree)
+
+
+def _transport_ideal(ideal: IdealPresentation, sub: Substitution) -> IdealPresentation:
+    return IdealPresentation(tuple(_transport(g, sub) for g in ideal))
+
+
+def _substitution(t: SplitTrace) -> Substitution:
+    return {t.split_arrow: (t.first, t.second)}
+
+
 def rewrite_path(t: SplitTrace, p: Path) -> Path:
     """Expand each occurrence of the split arrow into its two halves.
 
     Source, target, and degree are preserved; paths without an occurrence
     come back unchanged.
     """
-    if p.is_trivial or t.split_arrow not in p.arrows:
-        return p
-    expanded: list[str] = []
-    for name in p.arrows:
-        if name == t.split_arrow:
-            expanded.append(t.first)
-            expanded.append(t.second)
-        else:
-            expanded.append(name)
-    return Path(p.source, p.target, p.degree, tuple(expanded))
+    return _expand(p, _substitution(t))
 
 
 def rewrite_sum(t: SplitTrace, x: UniformElement) -> UniformElement:
     """Coefficientwise transport of a uniform element through one split."""
-    moved = x.sum.map_paths(lambda p: rewrite_path(t, p))
-    return UniformElement(moved, x.source, x.target, x.degree)
+    return _transport(x, _substitution(t))
 
 
 def rewrite_ideal(t: SplitTrace, ideal: IdealPresentation) -> IdealPresentation:
-    return IdealPresentation(tuple(rewrite_sum(t, g) for g in ideal))
+    return _transport_ideal(ideal, _substitution(t))
 
 
 def pick_split_target(q: WeightedQuiver) -> str | None:
@@ -99,20 +130,40 @@ def pick_split_target(q: WeightedQuiver) -> str | None:
 
 
 def regrade(q: WeightedQuiver, ideal: IdealPresentation) -> RegradeResult:
-    """Split until every arrow has degree 1, transporting the relations.
+    """Split until every arrow has degree 1, then transport the relations.
 
-    Terminates in exactly weight_discrepancy(q) splits; an input already
-    generated in degree 1 comes back unchanged with an empty trace.
+    The splits run on the quiver alone, in exactly weight_discrepancy(q)
+    steps, and record which original arrow each split arrow came from.  The
+    relations are then rewritten once through the composite substitution
+    b -> b_1 ... b_d.  This gives the same ideal, term for term, as
+    rewriting at every split: the chains of distinct original arrows are
+    disjoint, so no two paths meet and no coefficient cancels, and the
+    terms of each relation are sorted on their final paths either way.  An
+    input already generated in degree 1 comes back unchanged with an empty
+    trace.  A discrepancy above MAX_DISCREPANCY raises DiscrepancyLimit
+    before the first split.
     """
+    discrepancy = weight_discrepancy(q)
+    if discrepancy > MAX_DISCREPANCY:
+        raise DiscrepancyLimit(
+            f"weight discrepancy {discrepancy} is above the regrade bound "
+            f"{MAX_DISCREPANCY}: regrading makes one split per unit of discrepancy"
+        )
     trace: list[SplitTrace] = []
-    current_q, current_ideal = q, ideal
-    while True:
-        target = pick_split_target(current_q)
-        if target is None:
-            break
+    origin: dict[str, str] = {}  # current arrow made by a split -> original arrow
+    chains: dict[str, list[str]] = {}  # split original arrow -> its current arrows
+    current_q = q
+    while (target := pick_split_target(current_q)) is not None:
         step = split_arrow(current_q, target)
-        current_ideal = rewrite_ideal(step, current_ideal)
+        source = origin.pop(target, target)
+        chain = chains.setdefault(source, [source])
+        i = chain.index(target)
+        chain[i : i + 1] = (step.first, step.second)
+        origin[step.first] = origin[step.second] = source
         current_q = step.after
         trace.append(step)
-    assert len(trace) == weight_discrepancy(q)
-    return RegradeResult(current_q, current_ideal, tuple(trace))
+    assert len(trace) == discrepancy
+    if not trace:
+        return RegradeResult(q, ideal, ())
+    sub = {name: tuple(chain) for name, chain in chains.items()}
+    return RegradeResult(current_q, _transport_ideal(ideal, sub), tuple(trace))

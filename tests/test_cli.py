@@ -13,7 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quiver_regrade import parse_presentation, weight_discrepancy
 from quiver_regrade.cli import main
+from quiver_regrade.regrade import MAX_DISCREPANCY
 
 KXY = "[quiver]\nvertex v\narrow x v v 1\narrow y v v 2\n\n[relations]\nx*y - y*x\n"
 BAD = "[quiver]\nvertex v\narrow x v w 1\n"
@@ -99,6 +101,23 @@ class TestRegrade:
         out = capsys.readouterr().out
         q, _ = parse_presentation(out)
         assert weight_discrepancy(q) == 0
+
+    def test_discrepancy_above_bound_is_refused(self, tmp_path):
+        # one split per unit of discrepancy: a degree of 10^9 must be refused
+        # up front, not run until it is killed
+        p = tmp_path / "huge.quiver"
+        p.write_text("[quiver]\nvertex v\narrow x v v 1000000000\n\n[relations]\nx*x\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "quiver_regrade.cli", "regrade", str(p)],
+            capture_output=True,
+            text=True,
+            timeout=5,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert "weight discrepancy 999999999" in proc.stderr
+        assert f"bound {MAX_DISCREPANCY}" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestHilbert:
@@ -259,6 +278,7 @@ def presentation_files(draw):
 
 commands = st.one_of(
     st.just(["validate"]),
+    st.just(["regrade"]),
     st.builds(
         lambda d, extra: ["hilbert", "--max-degree", str(d), *extra],
         st.integers(0, 6),
@@ -267,7 +287,11 @@ commands = st.one_of(
 )
 
 
-@settings(max_examples=60, deadline=None)
+def _shapes(ideal):
+    return [(g.source, g.target, g.degree) for g in ideal]
+
+
+@settings(max_examples=90, deadline=None)
 @given(text=presentation_files(), command=commands)
 def test_generated_files_exit_cleanly(text, command):
     with tempfile.TemporaryDirectory() as tmp:
@@ -278,3 +302,9 @@ def test_generated_files_exit_cleanly(text, command):
             rc = main([command[0], str(path), *command[1:]])
     assert rc in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+    if command[0] == "regrade" and rc == 0:
+        # the regrade re-parses, is generated in degree 1 and keeps every relation's shape
+        _, ideal = parse_presentation(text)
+        q_out, ideal_out = parse_presentation(out.getvalue())
+        assert weight_discrepancy(q_out) == 0
+        assert _shapes(ideal_out) == _shapes(ideal)

@@ -2,17 +2,20 @@
 
 from __future__ import annotations
 
+import importlib
 from fractions import Fraction
 
 import pytest
 
 from quiver_regrade import (
+    DiscrepancyLimit,
     IdealPresentation,
     PathSum,
     QQ,
     SplitError,
     UniformElement,
     multiply_sums,
+    parse_presentation,
     path_from_arrows,
     pick_split_target,
     regrade,
@@ -30,6 +33,9 @@ from quiver_regrade.catalog import (
     kxy_split_presentation,
 )
 from quiver_regrade.randomgen import random_ideal, random_quiver, rng_for
+
+# the package exports the function `regrade`, so fetch the module by name
+regrade_module = importlib.import_module("quiver_regrade.regrade")
 
 
 class TestSplitArrow:
@@ -192,3 +198,120 @@ class TestRegrade:
                 after.target,
                 after.degree,
             )
+
+
+def sequential_ideal(ideal, trace):
+    """The relations rewritten at every split in turn: the reference for the
+    one-pass transport in ``regrade``."""
+    for t in trace:
+        ideal = rewrite_ideal(t, ideal)
+    return ideal
+
+
+# arrow names that collide with the names splits would pick: a' and a'' are
+# taken before a splits, and the vertex z and the arrow z1 make the fresh
+# vertex names step past them
+COLLIDING = """[quiver]
+vertex v
+vertex z
+arrow a v v 2
+arrow a' v v 3
+arrow a'' v v 2
+arrow z1 v z 4
+arrow r z v 1
+
+[relations]
+a*a' - a'*a
+a''*z1*r + 2*a'*a*a''
+z1*r*a - a*z1*r
+e_v
+"""
+
+# a' and a'' split before a does, which frees their names for a's halves
+REUSED = """[quiver]
+vertex v
+arrow a v v 2
+arrow a' v v 3
+arrow a'' v v 3
+
+[relations]
+a*a' + a''*a - 3*a'*a
+a'*a'
+"""
+
+
+class TestOnePassTransport:
+    def assert_matches_sequential(self, q, ideal):
+        r = regrade(q, ideal)
+        assert len(r.trace) == weight_discrepancy(q)
+        assert r.final_ideal == sequential_ideal(ideal, r.trace)
+        return r
+
+    def test_random_presentations(self):
+        for seed in range(240):
+            rng = rng_for("regrade-one-pass", seed)
+            q = random_quiver(rng, require_heavy=True)
+            self.assert_matches_sequential(q, random_ideal(rng, q))
+
+    def test_catalog_and_golden(self, golden_dir):
+        rng = rng_for("regrade-one-pass-catalog", 0)
+        for q, ideal in (
+            kxy_presentation(),
+            kxy_split_presentation(),
+            parse_presentation((golden_dir / "kxy.quiver").read_text()),
+            parse_presentation((golden_dir / "kxy_regraded.quiver").read_text()),
+        ):
+            self.assert_matches_sequential(q, ideal)
+        for q in (bridge_quiver(2), bridge_quiver(5), heavy_loop_quiver(3), heavy_loop_quiver(6)):
+            self.assert_matches_sequential(q, random_ideal(rng, q, max_generators=4))
+
+    def test_names_that_collide_with_split_names(self):
+        q, ideal = parse_presentation(COLLIDING)
+        r = self.assert_matches_sequential(q, ideal)
+        # the fresh names had to step around the taken ones
+        assert r.trace[0].new_vertex == "z2"
+        assert any(t.first.endswith("'1") for t in r.trace)
+        assert validate(r.final_quiver) == []
+
+    def test_freed_names_reused_by_later_splits(self):
+        q, ideal = parse_presentation(REUSED)
+        r = self.assert_matches_sequential(q, ideal)
+        split = [t.split_arrow for t in r.trace]
+        halves = [(t.first, t.second) for t in r.trace]
+        assert ("a'", "a''") in halves
+        assert split.index("a") > max(split.index("a'"), split.index("a''"))
+
+    def test_empty_ideal(self, heavy_loop, empty_ideal):
+        r = self.assert_matches_sequential(heavy_loop, empty_ideal)
+        assert r.final_ideal == empty_ideal
+
+    def test_degree_zero_relation(self):
+        q, ideal = parse_presentation(
+            "[quiver]\nvertex v\narrow w v v 3\n\n[relations]\ne_v\nw*w\n"
+        )
+        assert [g.degree for g in ideal] == [0, 6]
+        r = self.assert_matches_sequential(q, ideal)
+        assert r.final_ideal.generators[0] == ideal.generators[0]
+
+    def test_no_split_returns_input_ideal(self, kxy_split):
+        q, ideal = kxy_split
+        assert regrade(q, ideal).final_ideal is ideal
+
+
+class TestDiscrepancyGuard:
+    # the bound is lowered here so that a missing guard fails fast instead of
+    # splitting 10^9 times; the CLI test runs the real bound in a subprocess
+    @pytest.fixture
+    def bound_two(self, monkeypatch):
+        monkeypatch.setattr(regrade_module, "MAX_DISCREPANCY", 2)
+
+    def test_refused_before_any_split(self, bound_two, empty_ideal):
+        with pytest.raises(DiscrepancyLimit) as info:
+            regrade(heavy_loop_quiver(6), empty_ideal)
+        assert isinstance(info.value, SplitError)
+        assert str(info.value).startswith("weight discrepancy 5 is above the regrade bound 2")
+
+    def test_bound_is_inclusive(self, bound_two, empty_ideal):
+        assert len(regrade(heavy_loop_quiver(3), empty_ideal).trace) == 2
+        with pytest.raises(DiscrepancyLimit):
+            regrade(heavy_loop_quiver(4), empty_ideal)
