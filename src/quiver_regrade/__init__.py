@@ -5,7 +5,8 @@ relations.  This package splits heavy arrows until every generator sits in
 degree one, rewrites the relations along the way, and transports graded
 representations across each split in both directions, with exact linear
 algebra throughout.  The :mod:`~quiver_regrade.verify` module turns the
-structural claims into seeded property suites.
+structural claims into seeded property suites.  The public names are the
+ones imported below.
 """
 
 from .fields import (
@@ -97,88 +98,3 @@ from .verify import (
     run_split_suite,
     run_suites,
 )
-
-__all__ = [
-    "DEFAULT_MAX_DEGREE",
-    "DEFAULT_PRIME",
-    "GF",
-    "PRIME_ENV_VAR",
-    "QQ",
-    "Arrow",
-    "DegreeWindow",
-    "Diagnostic",
-    "DiscrepancyLimit",
-    "Field",
-    "GradedMorphism",
-    "GradedRep",
-    "IdealPresentation",
-    "Matrix",
-    "MorphismSquareError",
-    "Path",
-    "PathCountLimit",
-    "PathSum",
-    "PresentationError",
-    "PrimeField",
-    "PropertyResult",
-    "QuiverMismatchError",
-    "Rationals",
-    "RegradeResult",
-    "SplitError",
-    "SplitTrace",
-    "SuiteConfig",
-    "SuiteReport",
-    "UniformElement",
-    "WeightedQuiver",
-    "WindowOverflowError",
-    "collapse_morphism",
-    "collapse_rep",
-    "collapse_rep_along",
-    "compose_morphisms",
-    "counit",
-    "default_prime",
-    "enumerate_paths",
-    "evaluate_path",
-    "evaluate_relation",
-    "expand_morphism",
-    "expand_rep",
-    "expand_rep_along",
-    "format_path_sum",
-    "fresh_split_names",
-    "fresh_vertex_name",
-    "graded_dim",
-    "graded_dim_naive",
-    "identity_morphism",
-    "morphism_cokernel",
-    "morphism_kernel",
-    "multiply_paths",
-    "multiply_sums",
-    "nullspace",
-    "parse_field_spec",
-    "parse_presentation",
-    "path_from_arrows",
-    "pick_split_target",
-    "rank",
-    "rank_naive",
-    "regrade",
-    "render_representation",
-    "render_reports",
-    "reports_to_json",
-    "rewrite_ideal",
-    "rewrite_path",
-    "rewrite_sum",
-    "rref",
-    "run_functor_suite",
-    "run_hilbert_suite",
-    "run_split_suite",
-    "run_suites",
-    "satisfies",
-    "serialize_presentation",
-    "shift",
-    "solve_columns",
-    "split_arrow",
-    "trivial_path",
-    "uniform_components",
-    "validate",
-    "weight_discrepancy",
-    "zero_rep",
-]

@@ -2,8 +2,11 @@
 
 The degree-d piece of the two-sided ideal (r_1, ..., r_n) is spanned by the
 products p * r_i * s over all composable path pairs with matching total
-degree.  The quotient dimension is the path count minus the exact rank of
-that span in the degree-d path basis.
+degree.  Each product becomes one sparse row ``{basis index: coefficient}``
+over the degree-d path basis, and the rows go straight into the sparse
+elimination of :func:`~quiver_regrade.linalg.rank_of_rows`.  The quotient
+dimension is the path count minus that exact rank.  The naive route spreads
+the same rows out dense for the independent :func:`rank_naive`.
 """
 
 from __future__ import annotations
@@ -27,8 +30,7 @@ def _relation_rows(
     field: Field,
     basis_index: dict,
     max_paths: int | None,
-) -> Iterator[list]:
-    ncols = len(basis_index)
+) -> Iterator[dict]:
     for gen in ideal:
         sum_in_field = gen.sum.to_field(field) if gen.sum.field != field else gen.sum
         if degree < gen.degree:
@@ -39,13 +41,14 @@ def _relation_rows(
             if not lefts:
                 continue
             rights = enumerate_paths(q, right_deg, source=gen.target, limit=max_paths)
+            # p*mid*s is injective in mid for fixed p and s, and PathSum keeps
+            # no zero coefficient, so each row needs no accumulation
             for p in lefts:
                 for s in rights:
-                    row = [field.zero] * ncols
-                    for mid, coeff in sum_in_field.terms:
-                        full = multiply_paths(multiply_paths(p, mid), s)
-                        row[basis_index[full]] = field.add(row[basis_index[full]], coeff)
-                    yield row
+                    yield {
+                        basis_index[multiply_paths(multiply_paths(p, mid), s)]: coeff
+                        for mid, coeff in sum_in_field.terms
+                    }
 
 
 def graded_dim(
@@ -68,7 +71,7 @@ def graded_dim(
         return 0
     index = {p: i for i, p in enumerate(basis)}
     rows = _relation_rows(q, ideal, degree, vertex, field, index, max_paths)
-    r = rank_of_rows(field, rows, len(basis), stop_at=len(basis))
+    r = rank_of_rows(field, rows, len(basis))
     return len(basis) - r
 
 
@@ -86,9 +89,10 @@ def graded_dim_naive(
     basis = enumerate_paths(q, degree, source=vertex, limit=max_paths)
     if not basis:
         return 0
+    n = len(basis)
     index = {p: i for i, p in enumerate(basis)}
-    rows = list(_relation_rows(q, ideal, degree, vertex, field, index, max_paths))
-    if not rows:
-        return len(basis)
-    m = Matrix.from_rows(field, rows, len(basis))
-    return len(basis) - rank_naive(m)
+    rows = [
+        [row.get(j, field.zero) for j in range(n)]
+        for row in _relation_rows(q, ideal, degree, vertex, field, index, max_paths)
+    ]
+    return n - rank_naive(Matrix.from_rows(field, rows, n))

@@ -3,11 +3,14 @@
 Matrices are immutable row-major tuples of scalars.  Elimination is done
 twice, by independently coded routines:
 
-* :class:`Echelon` - the one elimination kernel.  It keeps sparse rows
-  ``{col: scalar}`` in a pivot map and is written only against the field
+* :class:`Echelon` - the one elimination kernel.  Rows go in sparse, as
+  ``{col: scalar}``, and the reduced form comes out as a pivot map from each
+  pivot column to its monic row.  It is written only against the field
   interface, so the rationals and every prime field share it.
-  :func:`rank_of_rows`, :func:`rank`, :func:`rref` (hence :func:`nullspace`
-  and :func:`solve_columns`) and :func:`column_space_complement` all run on it.
+  :func:`rank_of_rows` feeds it sparse rows as they are generated;
+  :func:`rank`, :func:`rref`, :func:`nullspace`, :func:`solve_columns` and
+  :func:`column_space_complement` sparsify a :class:`Matrix` and read their
+  answer off the pivot map.
 * :func:`rank_naive` - a deliberately plain textbook Gaussian elimination
   with division on dense rows, used as a second opinion in verification.
   Keep it free of code shared with :class:`Echelon`.
@@ -217,23 +220,25 @@ class Echelon:
             pivots[c] = {c: lead, **self.reduce(pivots[c])}
 
 
-def rank_of_rows(
-    field: Field, rows: Iterable[Sequence[Scalar]], ncols: int, stop_at: int | None = None
-) -> int:
-    """Rank of a row family, primary routine, early exit at ``stop_at``."""
-    limit = ncols if stop_at is None else min(ncols, stop_at)
+def rank_of_rows(field: Field, rows: Iterable[dict[int, Scalar]], ncols: int) -> int:
+    """Rank of a family of sparse rows ``{col: scalar}`` over ``ncols`` columns.
+
+    Rows are consumed lazily and no further row is drawn once the rank
+    reaches ``ncols``.
+    """
     ech = Echelon(field)
     r = 0
-    if limit > 0:
+    if ncols > 0:
         for row in rows:
-            r += ech.add(_sparse(field, row))
-            if r >= limit:
+            r += ech.add(row)
+            if r >= ncols:
                 break
     return r
 
 
 def rank(m: Matrix) -> int:
-    return rank_of_rows(m.field, m.entries, m.cols)
+    f = m.field
+    return rank_of_rows(f, (_sparse(f, row) for row in m.entries), m.cols)
 
 
 def rank_naive(m: Matrix) -> int:
@@ -267,51 +272,61 @@ def rank_naive(m: Matrix) -> int:
 # reduced row echelon form, nullspace, solving
 
 
+def _reduced(field: Field, rows: Iterable[Sequence[Scalar]]) -> dict[int, dict[int, Scalar]]:
+    """Reduced row echelon form of dense ``rows``: pivot column -> monic row."""
+    ech = Echelon(field)
+    for row in rows:
+        ech.add(_sparse(field, row))
+    ech.back_substitute()
+    return ech.pivots
+
+
 def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form and pivot column indices."""
     f = m.field
-    ech = Echelon(f)
-    for row in m.entries:
-        ech.add(_sparse(f, row))
-    ech.back_substitute()
-    pivots = sorted(ech.pivots)
-    rows = [tuple(ech.pivots[c].get(j, f.zero) for j in range(m.cols)) for c in pivots]
+    red = _reduced(f, m.entries)
+    pivots = sorted(red)
+    rows = [tuple(red[c].get(j, f.zero) for j in range(m.cols)) for c in pivots]
     rows += [(f.zero,) * m.cols] * (m.rows - len(pivots))
     return Matrix(m.rows, m.cols, tuple(rows), f), pivots
 
 
 def nullspace(m: Matrix) -> Matrix:
-    """Columns form a basis of the right kernel {x : m x = 0}."""
+    """Columns form a basis of the right kernel {x : m x = 0}.
+
+    One column per free column c: a one at c, minus column c of the reduced
+    form at the pivot coordinates, zero elsewhere.
+    """
     f = m.field
-    red, pivots = rref(m)
-    free = [c for c in range(m.cols) if c not in pivots]
-    cols = []
-    for fc in free:
-        vec = [f.zero] * m.cols
-        vec[fc] = f.one
-        for r, pc in enumerate(pivots):
-            vec[pc] = f.neg(red.entries[r][fc])
-        cols.append(vec)
-    entries = tuple(tuple(col[i] for col in cols) for i in range(m.cols))
-    return Matrix(m.cols, len(cols), entries, f)
+    red = _reduced(f, m.entries)
+    free = [c for c in range(m.cols) if c not in red]
+    rows = [
+        [f.neg(red[i].get(c, f.zero)) for c in free]
+        if i in red
+        else [f.one if i == c else f.zero for c in free]
+        for i in range(m.cols)
+    ]
+    return Matrix.from_rows(f, rows, len(free))
 
 
 def solve_columns(a: Matrix, b: Matrix) -> Matrix | None:
-    """Solve a X = b columnwise; None if any column is inconsistent."""
+    """Solve a X = b columnwise; None if any column is inconsistent.
+
+    Row i of X is the b-part of the reduced row with pivot i, or zero when i
+    is a free column; a pivot inside the b-part means no solution.
+    """
     if a.rows != b.rows:
         raise ValueError("row mismatch in solve")
     f = a.field
-    aug_rows = [tuple(a.entries[i]) + tuple(b.entries[i]) for i in range(a.rows)]
-    aug = Matrix.from_rows(f, aug_rows, a.cols + b.cols) if a.rows else Matrix.zero(f, 0, a.cols + b.cols)
-    red, pivots = rref(aug)
-    for c in pivots:
-        if c >= a.cols:
-            return None
-    sol = [[f.zero] * b.cols for _ in range(a.cols)]
-    for r, pc in enumerate(pivots):
-        for j in range(b.cols):
-            sol[pc][j] = red.entries[r][a.cols + j]
-    return Matrix.from_rows(f, sol, b.cols) if a.cols else Matrix.zero(f, 0, b.cols)
+    n, k = a.cols, b.cols
+    red = _reduced(f, (ra + rb for ra, rb in zip(a.entries, b.entries)))
+    if any(c >= n for c in red):
+        return None
+    sol = [
+        [red[i].get(n + j, f.zero) for j in range(k)] if i in red else [f.zero] * k
+        for i in range(n)
+    ]
+    return Matrix.from_rows(f, sol, k)
 
 
 def column_space_complement(m: Matrix) -> tuple[Matrix, Matrix]:
@@ -334,6 +349,4 @@ def column_space_complement(m: Matrix) -> tuple[Matrix, Matrix]:
         for k, c in enumerate(free):
             q[k][i] = residue.get(c, f.zero)
     e = [[f.one if free[k] == i else f.zero for k in range(len(free))] for i in range(n)]
-    q_m = Matrix.from_rows(f, q, n) if free else Matrix.zero(f, 0, n)
-    e_m = Matrix.from_rows(f, e, len(free)) if n else Matrix.zero(f, 0, len(free))
-    return q_m, e_m
+    return Matrix.from_rows(f, q, n), Matrix.from_rows(f, e, len(free))

@@ -83,14 +83,14 @@ def weight_discrepancy(q: WeightedQuiver) -> int:
     return sum(a.degree for a in q.arrows) - len(q.arrows)
 
 
-def fresh_vertex_name(q: WeightedQuiver, base: str = "z") -> str:
+def fresh_vertex_name(q: WeightedQuiver) -> str:
     taken = set(q.vertices) | {a.name for a in q.arrows}
-    if base not in taken:
-        return base
+    if "z" not in taken:
+        return "z"
     i = 1
-    while f"{base}{i}" in taken:
+    while f"z{i}" in taken:
         i += 1
-    return f"{base}{i}"
+    return f"z{i}"
 
 
 def fresh_split_names(q: WeightedQuiver, arrow_name: str) -> tuple[str, str]:

@@ -133,15 +133,15 @@ def regrade(q: WeightedQuiver, ideal: IdealPresentation) -> RegradeResult:
     """Split until every arrow has degree 1, then transport the relations.
 
     The splits run on the quiver alone, in exactly weight_discrepancy(q)
-    steps, and record which original arrow each split arrow came from.  The
-    relations are then rewritten once through the composite substitution
-    b -> b_1 ... b_d.  This gives the same ideal, term for term, as
-    rewriting at every split: the chains of distinct original arrows are
-    disjoint, so no two paths meet and no coefficient cancels, and the
-    terms of each relation are sorted on their final paths either way.  An
-    input already generated in degree 1 comes back unchanged with an empty
-    trace.  A discrepancy above MAX_DISCREPANCY raises DiscrepancyLimit
-    before the first split.
+    steps.  Folding the trace backwards then gives the composite
+    substitution b -> b_1 ... b_d from each original arrow to the chain of
+    final arrows it became, and the relations are rewritten once through
+    it.  This gives the same ideal, term for term, as rewriting at every
+    split: the chains of distinct original arrows are disjoint, so no two
+    paths meet and no coefficient cancels, and the terms of each relation
+    are sorted on their final paths either way.  An input already generated
+    in degree 1 comes back unchanged with an empty trace.  A discrepancy
+    above MAX_DISCREPANCY raises DiscrepancyLimit before the first split.
     """
     discrepancy = weight_discrepancy(q)
     if discrepancy > MAX_DISCREPANCY:
@@ -150,20 +150,18 @@ def regrade(q: WeightedQuiver, ideal: IdealPresentation) -> RegradeResult:
             f"{MAX_DISCREPANCY}: regrading makes one split per unit of discrepancy"
         )
     trace: list[SplitTrace] = []
-    origin: dict[str, str] = {}  # current arrow made by a split -> original arrow
-    chains: dict[str, list[str]] = {}  # split original arrow -> its current arrows
     current_q = q
     while (target := pick_split_target(current_q)) is not None:
         step = split_arrow(current_q, target)
-        source = origin.pop(target, target)
-        chain = chains.setdefault(source, [source])
-        i = chain.index(target)
-        chain[i : i + 1] = (step.first, step.second)
-        origin[step.first] = origin[step.second] = source
         current_q = step.after
         trace.append(step)
     assert len(trace) == discrepancy
     if not trace:
         return RegradeResult(q, ideal, ())
-    sub = {name: tuple(chain) for name, chain in chains.items()}
+    # Backwards, sub maps each arrow of t.after to its final chain.  Both
+    # halves are fresh for t.before, so they are popped before an earlier
+    # split can reuse their names.
+    sub: Substitution = {}
+    for t in reversed(trace):
+        sub[t.split_arrow] = sub.pop(t.first, (t.first,)) + sub.pop(t.second, (t.second,))
     return RegradeResult(current_q, _transport_ideal(ideal, sub), tuple(trace))

@@ -7,6 +7,7 @@ import io
 import subprocess
 import sys
 import tempfile
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,10 @@ from quiver_regrade.cli import main
 from quiver_regrade.regrade import MAX_DISCREPANCY
 
 KXY = "[quiver]\nvertex v\narrow x v v 1\narrow y v v 2\n\n[relations]\nx*y - y*x\n"
+KXYZ = (
+    "[quiver]\nvertex v\narrow x v v 1\narrow y v v 1\narrow z v v 1\n\n"
+    "[relations]\nx*y - y*x\nx*z - z*x\ny*z - z*y\n"
+)
 BAD = "[quiver]\nvertex v\narrow x v w 1\n"
 
 
@@ -120,6 +125,11 @@ class TestRegrade:
         assert "Traceback" not in proc.stderr
 
 
+def _hilbert_table(argv, capsys) -> list[tuple[int, int]]:
+    assert main(["hilbert", *argv]) == 0
+    return [tuple(map(int, line.split())) for line in capsys.readouterr().out.splitlines()]
+
+
 class TestHilbert:
     def test_table(self, kxy_file, capsys):
         assert main(["hilbert", kxy_file, "--max-degree", "6"]) == 0
@@ -156,6 +166,21 @@ class TestHilbert:
         out = capsys.readouterr().out.splitlines()
         assert len(out) == 1201
         assert out[-1] == "1200 1"
+
+    def test_kxy_to_degree_20(self, kxy_file, capsys):
+        # k[x,y] with deg y = 2: the monomials x^i y^j with i + 2j = d
+        table = _hilbert_table([kxy_file, "--max-degree", "20"], capsys)
+        assert table == [(d, d // 2 + 1) for d in range(21)]
+
+    @pytest.mark.parametrize(
+        "field, top", [([], 8), (["--field", "q"], 6)], ids=["default-prime", "rationals"]
+    )
+    def test_commutative_three_variables(self, tmp_path, capsys, field, top):
+        # k[x,y,z]: C(d+2, 2) monomials in degree d
+        p = tmp_path / "kxyz.quiver"
+        p.write_text(KXYZ)
+        table = _hilbert_table([str(p), "--max-degree", str(top), *field], capsys)
+        assert table == [(d, comb(d + 2, 2)) for d in range(top + 1)]
 
 
 class TestVerify:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from itertools import product
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quiver_regrade import GF, QQ, Matrix, nullspace, rank, rank_naive, rref, solve_columns
-from quiver_regrade.linalg import column_space_complement
+from quiver_regrade.linalg import Echelon, column_space_complement
 
 FIELDS = [QQ, GF(7), GF(32003), GF(4294967311)]  # the last exceeds int64 products
 
@@ -186,6 +187,71 @@ class TestSolveColumns:
         a = mk(QQ, [[1], [0]])
         b = mk(QQ, [[0], [1]])
         assert solve_columns(a, b) is None
+
+
+# The dense route the pivot-map readers replaced: pad the reduced form out
+# to a Matrix (and solve through an augmented Matrix), then read it back.
+def _dense_rref(m):
+    f = m.field
+    ech = Echelon(f)
+    for row in m.entries:
+        ech.add({j: a for j, a in enumerate(row) if not f.is_zero(a)})
+    ech.back_substitute()
+    pivots = sorted(ech.pivots)
+    rows = [tuple(ech.pivots[c].get(j, f.zero) for j in range(m.cols)) for c in pivots]
+    rows += [(f.zero,) * m.cols] * (m.rows - len(pivots))
+    return Matrix(m.rows, m.cols, tuple(rows), f), pivots
+
+
+def _dense_nullspace(m):
+    f = m.field
+    red, pivots = _dense_rref(m)
+    free = [c for c in range(m.cols) if c not in pivots]
+    cols = []
+    for fc in free:
+        vec = [f.zero] * m.cols
+        vec[fc] = f.one
+        for r, pc in enumerate(pivots):
+            vec[pc] = f.neg(red.entries[r][fc])
+        cols.append(vec)
+    entries = tuple(tuple(col[i] for col in cols) for i in range(m.cols))
+    return Matrix(m.cols, len(cols), entries, f)
+
+
+def _dense_solve_columns(a, b):
+    f = a.field
+    aug_rows = [tuple(a.entries[i]) + tuple(b.entries[i]) for i in range(a.rows)]
+    aug = Matrix.from_rows(f, aug_rows, a.cols + b.cols) if a.rows else Matrix.zero(f, 0, a.cols + b.cols)
+    red, pivots = _dense_rref(aug)
+    for c in pivots:
+        if c >= a.cols:
+            return None
+    sol = [[f.zero] * b.cols for _ in range(a.cols)]
+    for r, pc in enumerate(pivots):
+        for j in range(b.cols):
+            sol[pc][j] = red.entries[r][a.cols + j]
+    return Matrix.from_rows(f, sol, b.cols) if a.cols else Matrix.zero(f, 0, b.cols)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_pivot_map_readers_match_dense_reference(field):
+    rng = random.Random("linalg-dense-reference")
+    solved = unsolvable = 0
+    for r, c, k in product(range(6), range(6), range(4)):  # 0-row and 0-column shapes too
+        # mostly zeros, so ranks drop and free columns appear
+        a = mk(field, [[rng.choice((0, 0, 0, 1, -1, 2, -3)) for _ in range(c)] for _ in range(r)], c)
+        assert repr(rref(a)) == repr(_dense_rref(a))
+        assert rank(a) == len(_dense_rref(a)[1]) == rank_naive(a)
+        assert repr(nullspace(a)) == repr(_dense_nullspace(a))
+        if rng.random() < 0.5:  # consistent by construction
+            b = a.mul(mk_random(field, rng, c, k))
+        else:  # usually inconsistent once a has a zero row or rank < r
+            b = mk_random(field, rng, r, k)
+        got, want = solve_columns(a, b), _dense_solve_columns(a, b)
+        assert repr(got) == repr(want)
+        solved += got is not None
+        unsolvable += got is None
+    assert solved and unsolvable
 
 
 class TestColumnSpaceComplement:
