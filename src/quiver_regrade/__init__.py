@@ -28,7 +28,7 @@ from .fileformat import (
     serialize_presentation,
 )
 from .hilbert import DEFAULT_MAX_DEGREE, graded_dim, graded_dim_naive
-from .linalg import Matrix, nullspace, rank, rank_naive, rref, solve_columns
+from .linalg import Matrix, nullspace, rank, rank_naive, rref
 from .paths import (
     IdealPresentation,
     Path,

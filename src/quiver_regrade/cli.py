@@ -12,7 +12,7 @@ import sys
 import time
 from pathlib import Path
 
-from .fields import default_prime, parse_field_spec
+from .fields import GF, default_prime, parse_field_spec
 from .fileformat import PresentationError, parse_presentation, serialize_presentation
 from .hilbert import DEFAULT_MAX_DEGREE, graded_dim
 from .paths import IdealPresentation, PathCountLimit
@@ -31,6 +31,10 @@ from .verify import SUITE_NAMES, SuiteConfig, render_reports, run_suites
 
 class _CliFailure(Exception):
     """Data-level failure: bad file, bad presentation, impossible request."""
+
+
+class _UsageError(Exception):
+    """A bad setting outside the argument list, such as the environment."""
 
 
 def _load(path: str) -> tuple[WeightedQuiver, IdealPresentation]:
@@ -74,6 +78,15 @@ def _field_arg(text: str):
         return parse_field_spec(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
+def _default_field():
+    """F_p for the default prime; a bad override in the environment is a
+    usage error."""
+    try:
+        return GF(default_prime())
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
 
 
 def render_regrade(result: RegradeResult) -> str:
@@ -136,9 +149,10 @@ def _cmd_hilbert(args) -> int:
     q, ideal = _load(args.file)
     if args.vertex is not None and not q.has_vertex(args.vertex):
         raise _CliFailure(f"unknown vertex {args.vertex!r}")
+    field = args.field if args.field is not None else _default_field()
     for d in range(args.max_degree + 1):
         try:
-            dim = graded_dim(q, ideal, d, vertex=args.vertex, field=args.field)
+            dim = graded_dim(q, ideal, d, vertex=args.vertex, field=field)
         except PathCountLimit as exc:
             raise _CliFailure(f"degree {d}: {exc}") from exc
         print(f"{d} {dim}")
@@ -159,6 +173,7 @@ def _cmd_verify(args) -> int:
         trials=args.trials,
         window=args.window,
         max_dim=args.max_dim,
+        field=_default_field(),
     )
     started = time.perf_counter()
     reports = run_suites(names, cfg)
@@ -226,13 +241,14 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    if getattr(args, "command", None) == "hilbert" and args.field is None:
-        args.field = parse_field_spec(f"p{default_prime()}")
     try:
         return args.handler(args)
     except _CliFailure as exc:
         print(str(exc), file=sys.stderr)
         return 1
+    except _UsageError as exc:
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 def entry():

@@ -1,16 +1,26 @@
 """Exact linear algebra over the fields in :mod:`quiver_regrade.fields`.
 
-Matrices are immutable row-major tuples of scalars.  Elimination is done
-twice, by independently coded routines:
+Matrices are immutable row-major tuples of scalars.  The public
+constructors, ``Matrix(...)`` and :meth:`Matrix.from_rows`, check that every
+row has the stated length.  Results the module builds itself - of
+``mul``/``add``/``sub``/``scale``/``neg``/``rows_at``, ``zero``, ``identity``
+and the bases that :func:`nullspace` and :func:`column_space_complement`
+assemble - are well formed by construction and go through one private
+trusted constructor that skips those checks.  ``Matrix.identity`` hands
+back one shared object per field and size.
+
+Elimination is done twice, by independently coded routines:
 
 * :class:`Echelon` - the one elimination kernel.  Rows go in sparse, as
   ``{col: scalar}``, and the reduced form comes out as a pivot map from each
   pivot column to its monic row.  It is written only against the field
   interface, so the rationals and every prime field share it.
   :func:`rank_of_rows` feeds it sparse rows as they are generated;
-  :func:`rank`, :func:`rref`, :func:`nullspace`, :func:`solve_columns` and
+  :func:`rank`, :func:`rref`, :func:`nullspace` and
   :func:`column_space_complement` sparsify a :class:`Matrix` and read their
-  answer off the pivot map.
+  answer off the pivot map.  A kernel basis is the identity on its free
+  columns, so a vector in the kernel is recovered from its entries there;
+  no solver for ``a X = b`` is needed.
 * :func:`rank_naive` - a deliberately plain textbook Gaussian elimination
   with division on dense rows, used as a second opinion in verification.
   Keep it free of code shared with :class:`Echelon`.
@@ -40,6 +50,16 @@ class Matrix:
                 raise ValueError(f"ragged row: expected {self.cols} columns")
 
     @staticmethod
+    def _trusted(
+        rows: int, cols: int, entries: tuple[tuple[Scalar, ...], ...], field: Field
+    ) -> "Matrix":
+        """A matrix whose ``entries`` are known to be ``rows`` tuples of
+        ``cols`` scalars: the fields are set without the shape checks."""
+        m = object.__new__(Matrix)
+        m.__dict__.update(rows=rows, cols=cols, entries=entries, field=field)
+        return m
+
+    @staticmethod
     def from_rows(field: Field, rows: Sequence[Sequence[Scalar]], cols: int | None = None) -> "Matrix":
         data = tuple(tuple(row) for row in rows)
         if cols is None:
@@ -50,67 +70,63 @@ class Matrix:
 
     @staticmethod
     def zero(field: Field, rows: int, cols: int) -> "Matrix":
-        z = field.zero
-        return Matrix(rows, cols, tuple(tuple(z for _ in range(cols)) for _ in range(rows)), field)
+        return Matrix._trusted(rows, cols, ((field.zero,) * cols,) * rows, field)
 
     @staticmethod
     def identity(field: Field, n: int) -> "Matrix":
-        z, o = field.zero, field.one
-        return Matrix(n, n, tuple(tuple(o if i == j else z for j in range(n)) for i in range(n)), field)
+        """The n x n identity; one shared object per ``(field, n)``."""
+        key = (field, n)
+        m = _IDENTITIES.get(key)
+        if m is None:
+            z, o = field.zero, field.one
+            entries = tuple([tuple([o if i == j else z for j in range(n)]) for i in range(n)])
+            m = _IDENTITIES[key] = Matrix._trusted(n, n, entries, field)
+        return m
 
     def get(self, i: int, j: int) -> Scalar:
         return self.entries[i][j]
 
+    def rows_at(self, indices: Sequence[int]) -> "Matrix":
+        """The submatrix formed by the rows at ``indices``, in that order."""
+        e = self.entries
+        return Matrix._trusted(len(indices), self.cols, tuple([e[i] for i in indices]), self.field)
+
     def mul(self, other: "Matrix") -> "Matrix":
-        self._same_field(other)
+        f = self.field
+        if other.field is not f:
+            self._same_field(other)
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: ({self.rows}x{self.cols}) @ ({other.rows}x{other.cols})")
-        f = self.field
         dot = f.dot
-        cols = tuple(zip(*other.entries)) or ((),) * other.cols
-        out = tuple(tuple(dot(left, col) for col in cols) for left in self.entries)
-        return Matrix(self.rows, other.cols, out, f)
+        cols = list(zip(*other.entries)) or [()] * other.cols
+        out = tuple([tuple([dot(left, col) for col in cols]) for left in self.entries])
+        return Matrix._trusted(self.rows, other.cols, out, f)
 
     def add(self, other: "Matrix") -> "Matrix":
         self._same_shape(other)
-        f = self.field
-        return Matrix(
-            self.rows,
-            self.cols,
-            tuple(
-                tuple(f.add(a, b) for a, b in zip(ra, rb))
-                for ra, rb in zip(self.entries, other.entries)
-            ),
-            f,
+        add = self.field.add
+        out = tuple(
+            [tuple([add(a, b) for a, b in zip(ra, rb)]) for ra, rb in zip(self.entries, other.entries)]
         )
+        return Matrix._trusted(self.rows, self.cols, out, self.field)
 
     def sub(self, other: "Matrix") -> "Matrix":
         self._same_shape(other)
-        f = self.field
-        return Matrix(
-            self.rows,
-            self.cols,
-            tuple(
-                tuple(f.sub(a, b) for a, b in zip(ra, rb))
-                for ra, rb in zip(self.entries, other.entries)
-            ),
-            f,
+        sub = self.field.sub
+        out = tuple(
+            [tuple([sub(a, b) for a, b in zip(ra, rb)]) for ra, rb in zip(self.entries, other.entries)]
         )
+        return Matrix._trusted(self.rows, self.cols, out, self.field)
 
     def scale(self, c: Scalar) -> "Matrix":
-        f = self.field
-        return Matrix(
-            self.rows,
-            self.cols,
-            tuple(tuple(f.mul(c, a) for a in row) for row in self.entries),
-            f,
-        )
+        mul = self.field.mul
+        out = tuple([tuple([mul(c, a) for a in row]) for row in self.entries])
+        return Matrix._trusted(self.rows, self.cols, out, self.field)
 
     def neg(self) -> "Matrix":
-        f = self.field
-        return Matrix(
-            self.rows, self.cols, tuple(tuple(f.neg(a) for a in row) for row in self.entries), f
-        )
+        neg = self.field.neg
+        out = tuple([tuple([neg(a) for a in row]) for row in self.entries])
+        return Matrix._trusted(self.rows, self.cols, out, self.field)
 
     def transpose(self) -> "Matrix":
         return Matrix(
@@ -148,6 +164,9 @@ class Matrix:
     def _same_field(self, other: "Matrix"):
         if self.field != other.field:
             raise ValueError(f"field mismatch: {self.field} vs {other.field}")
+
+
+_IDENTITIES: dict[tuple[Field, int], Matrix] = {}
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +288,7 @@ def rank_naive(m: Matrix) -> int:
 
 
 # ---------------------------------------------------------------------------
-# reduced row echelon form, nullspace, solving
+# reduced row echelon form, nullspace, complements
 
 
 def _reduced(field: Field, rows: Iterable[Sequence[Scalar]]) -> dict[int, dict[int, Scalar]]:
@@ -291,42 +310,31 @@ def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     return Matrix(m.rows, m.cols, tuple(rows), f), pivots
 
 
-def nullspace(m: Matrix) -> Matrix:
-    """Columns form a basis of the right kernel {x : m x = 0}.
+def _kernel_basis(m: Matrix) -> tuple[Matrix, list[int]]:
+    """:func:`nullspace` of ``m`` and its free columns, ascending.
 
-    One column per free column c: a one at c, minus column c of the reduced
-    form at the pivot coordinates, zero elsewhere.
+    Column k of the basis is a one at ``free[k]``, minus column ``free[k]``
+    of the reduced form at the pivot coordinates, zero elsewhere; so the rows
+    of the basis at the free columns form the identity.
     """
     f = m.field
+    zero, one, neg = f.zero, f.one, f.neg
     red = _reduced(f, m.entries)
     free = [c for c in range(m.cols) if c not in red]
-    rows = [
-        [f.neg(red[i].get(c, f.zero)) for c in free]
-        if i in red
-        else [f.one if i == c else f.zero for c in free]
-        for i in range(m.cols)
-    ]
-    return Matrix.from_rows(f, rows, len(free))
+    rows = tuple(
+        [
+            tuple([neg(red[i].get(c, zero)) for c in free])
+            if i in red
+            else tuple([one if i == c else zero for c in free])
+            for i in range(m.cols)
+        ]
+    )
+    return Matrix._trusted(m.cols, len(free), rows, f), free
 
 
-def solve_columns(a: Matrix, b: Matrix) -> Matrix | None:
-    """Solve a X = b columnwise; None if any column is inconsistent.
-
-    Row i of X is the b-part of the reduced row with pivot i, or zero when i
-    is a free column; a pivot inside the b-part means no solution.
-    """
-    if a.rows != b.rows:
-        raise ValueError("row mismatch in solve")
-    f = a.field
-    n, k = a.cols, b.cols
-    red = _reduced(f, (ra + rb for ra, rb in zip(a.entries, b.entries)))
-    if any(c >= n for c in red):
-        return None
-    sol = [
-        [red[i].get(n + j, f.zero) for j in range(k)] if i in red else [f.zero] * k
-        for i in range(n)
-    ]
-    return Matrix.from_rows(f, sol, k)
+def nullspace(m: Matrix) -> Matrix:
+    """Columns form a basis of the right kernel {x : m x = 0}."""
+    return _kernel_basis(m)[0]
 
 
 def column_space_complement(m: Matrix) -> tuple[Matrix, Matrix]:
@@ -336,17 +344,23 @@ def column_space_complement(m: Matrix) -> tuple[Matrix, Matrix]:
     im(m) (+) im(e) and q represents the quotient map onto k^n / im(m).
     """
     f = m.field
+    zero, one, neg = f.zero, f.one, f.neg
     n = m.rows
     ech = Echelon(f)
     for j in range(m.cols):
         ech.add(_sparse(f, m.column(j)))
-    free = [c for c in range(n) if c not in ech.pivots]
-    # the residue of each standard basis vector modulo im(m) lives on the
-    # free coordinates and gives the quotient map
-    q = [[f.zero] * n for _ in range(len(free))]
-    for i in range(n):
-        residue = ech.reduce({i: f.one})
-        for k, c in enumerate(free):
-            q[k][i] = residue.get(c, f.zero)
-    e = [[f.one if free[k] == i else f.zero for k in range(len(free))] for i in range(n)]
-    return Matrix.from_rows(f, q, n), Matrix.from_rows(f, e, len(free))
+    ech.back_substitute()
+    red = ech.pivots
+    free = [c for c in range(n) if c not in red]
+    # column i of q is the residue of the standard basis vector e_i modulo
+    # im(m), on the free coordinates: e_i itself when i is free, and e_i minus
+    # the reduced row with pivot i when i is a pivot
+    q = tuple(
+        [
+            tuple([neg(red[i].get(c, zero)) if i in red else one if i == c else zero
+                   for i in range(n)])
+            for c in free
+        ]
+    )
+    e = tuple([tuple([one if c == i else zero for c in free]) for i in range(n)])
+    return Matrix._trusted(len(free), n, q, f), Matrix._trusted(n, len(free), e, f)

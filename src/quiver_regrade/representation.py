@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .fields import Field
-from .linalg import Matrix, column_space_complement, nullspace, solve_columns
+from .linalg import Matrix, _kernel_basis, column_space_complement
 from .paths import IdealPresentation, Path, UniformElement
 from .quiver import WeightedQuiver
 from .regrade import SplitTrace
@@ -83,25 +83,29 @@ class GradedRep:
 
     def __post_init__(self):
         vertices = set(self.quiver.vertices)
-        for (v, d), n in self.dims.items():
+        lo, hi = self.window.lo, self.window.hi
+        dims, field = self.dims, self.field
+        for (v, d), n in dims.items():
             if v not in vertices:
                 raise ValueError(f"dimension table names unknown vertex {v!r}")
-            if not self.window.contains(d):
+            if not lo <= d <= hi:
                 raise ValueError(f"component ({v!r}, {d}) lies outside window {self.window}")
             if n < 0:
                 raise ValueError(f"negative dimension at ({v!r}, {d})")
+        arrow_map = self.quiver.arrow_map
         for (name, d), m in self.mats.items():
-            a = self.quiver.arrow(name)
-            sdim = self.dims.get((a.source, d))
-            tdim = self.dims.get((a.target, d + a.degree))
+            # quiver.arrow raises the KeyError that names an unknown arrow
+            a = arrow_map.get(name) or self.quiver.arrow(name)
+            sdim = dims.get((a.source, d))
+            tdim = dims.get((a.target, d + a.degree))
             if sdim is None or tdim is None:
                 raise ValueError(f"matrix for ({name!r}, {d}) has an absent endpoint component")
-            if (m.rows, m.cols) != (tdim, sdim):
+            if m.rows != tdim or m.cols != sdim:
                 raise ValueError(
                     f"matrix for ({name!r}, {d}) has shape {m.rows}x{m.cols}, "
                     f"expected {tdim}x{sdim}"
                 )
-            if m.field != self.field:
+            if m.field is not field and m.field != field:
                 raise ValueError(f"matrix for ({name!r}, {d}) is over the wrong field")
 
     def dim(self, v: str, d: int) -> int | None:
@@ -239,8 +243,11 @@ class GradedMorphism:
     The constructor checks the shape of every block, then every commuting
     square phi_t A = B phi_s for which the target's arrow block B and both
     blocks phi_s, phi_t exist.  A square whose two sides are empty matrices
-    (no rows or no columns) holds trivially and forms no product; every other
-    square is multiplied out and compared entry by entry.
+    (no rows or no columns) holds trivially and forms no product.  A block
+    that is the shared :meth:`Matrix.identity` leaves the other factor as it
+    is (I A == A exactly), so that side is the arrow block itself; every
+    other product is multiplied out, and the two sides are compared entry by
+    entry.
     """
 
     source: GradedRep
@@ -248,29 +255,40 @@ class GradedMorphism:
     blocks: dict[Slot, Matrix]
 
     def __post_init__(self):
-        src, tgt = self.source, self.target
+        src, tgt, blocks = self.source, self.target, self.blocks
         if src.quiver != tgt.quiver:
             raise QuiverMismatchError("morphism endpoints live on different quivers")
         if src.window != tgt.window or src.field != tgt.field:
             raise ValueError("morphism endpoints disagree on window or field")
-        for (v, d), m in self.blocks.items():
-            ns, nt = src.dim(v, d), tgt.dim(v, d)
+        src_dims, tgt_dims = src.dims, tgt.dims
+        for (v, d), m in blocks.items():
+            ns, nt = src_dims.get((v, d)), tgt_dims.get((v, d))
             if ns is None or nt is None:
                 raise ValueError(f"block at ({v!r}, {d}) has an absent endpoint component")
-            if (m.rows, m.cols) != (nt, ns):
+            if m.rows != nt or m.cols != ns:
                 raise ValueError(
                     f"block at ({v!r}, {d}) has shape {m.rows}x{m.cols}, expected {nt}x{ns}"
                 )
+        f, identity = src.field, Matrix.identity
+        arrow_map, tgt_mats = src.quiver.arrow_map, tgt.mats
         for (name, d), src_mat in src.mats.items():
-            a = src.quiver.arrow(name)
-            tgt_mat = tgt.mats.get((name, d))
-            left = self.blocks.get((a.target, d + a.degree))
-            right = self.blocks.get((a.source, d))
+            a = arrow_map.get(name) or src.quiver.arrow(name)
+            tgt_mat = tgt_mats.get((name, d))
+            left = blocks.get((a.target, d + a.degree))
+            right = blocks.get((a.source, d))
             if tgt_mat is None or left is None or right is None:
                 continue
             if left.rows == 0 or right.cols == 0:
                 continue  # both sides are empty matrices of the same shape
-            if left.mul(src_mat).entries != tgt_mat.mul(right).entries:
+            if left.rows == left.cols and left is identity(f, left.rows):
+                lhs = src_mat.entries
+            else:
+                lhs = left.mul(src_mat).entries
+            if right.rows == right.cols and right is identity(f, right.rows):
+                rhs = tgt_mat.entries
+            else:
+                rhs = tgt_mat.mul(right).entries
+            if lhs != rhs:
                 raise MorphismSquareError(f"square fails at arrow {name!r}, degree {d}")
 
     def block(self, v: str, d: int) -> Matrix | None:
@@ -346,25 +364,31 @@ def counit(t: SplitTrace, rep: GradedRep) -> GradedMorphism:
 
 
 def morphism_kernel(phi: GradedMorphism) -> tuple[GradedRep, GradedMorphism]:
-    """Componentwise kernel with induced arrow actions and its inclusion."""
+    """Componentwise kernel with induced arrow actions and its inclusion.
+
+    Each kernel basis ``b`` is the identity on its free coordinates, so the
+    induced action of an arrow is read off ``action b_s`` at the target's free
+    coordinates, with no elimination.  That it is the action on the kernel,
+    ``b_t induced == action b_s``, is a commuting square of the inclusion,
+    which its constructor checks: a violated square of ``phi`` raises
+    :class:`MorphismSquareError` there.
+    """
     src = phi.source
     dims: dict[Slot, int] = {}
     basis: dict[Slot, Matrix] = {}
+    free: dict[Slot, list[int]] = {}
     for key, block in phi.blocks.items():
-        ker = nullspace(block)
+        ker, free[key] = _kernel_basis(block)
         dims[key] = ker.cols
         basis[key] = ker
     mats: dict[Slot, Matrix] = {}
     for (name, d), action in src.mats.items():
         a = src.quiver.arrow(name)
         b_s = basis.get((a.source, d))
-        b_t = basis.get((a.target, d + a.degree))
-        if b_s is None or b_t is None:
+        free_t = free.get((a.target, d + a.degree))
+        if b_s is None or free_t is None:
             continue
-        induced = solve_columns(b_t, action.mul(b_s))
-        if induced is None:
-            raise AssertionError("kernel is not invariant; commuting squares were violated")
-        mats[(name, d)] = induced
+        mats[(name, d)] = action.mul(b_s).rows_at(free_t)
     kernel = GradedRep(src.quiver, src.window, src.field, dims, mats)
     inclusion = GradedMorphism(kernel, src, dict(basis))
     return kernel, inclusion

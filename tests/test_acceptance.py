@@ -7,6 +7,7 @@ The heavyweight randomized batches run once via module-scoped fixtures.
 
 from __future__ import annotations
 
+import hashlib
 import pathlib
 import subprocess
 import sys
@@ -31,6 +32,9 @@ from quiver_regrade.catalog import bridge_quiver, kxy_presentation, kxy_split_pr
 from quiver_regrade.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+# stdout of `verify --suite all --seed 7`, 1105 bytes
+VERIFY_SEED7_SHA256 = "4488dae582db5d1800819edb4d271d541e5f5a390d754a87c23b314ed3b10037"
 
 
 def report(cid: str, ok: bool, detail: str):
@@ -223,10 +227,11 @@ def test_c13_verify_cli_deterministic():
         and second.returncode == 0
         and first.stdout == second.stdout
         and "[verify] OK" in first.stdout
+        and hashlib.sha256(first.stdout.encode()).hexdigest() == VERIFY_SEED7_SHA256
     )
     report(
         "C13",
         ok,
         "two fresh `verify --suite all --seed 7` runs exit 0 with "
-        f"byte-identical stdout ({len(first.stdout)} bytes)",
+        f"byte-identical stdout ({len(first.stdout)} bytes) of the reference digest",
     )

@@ -239,6 +239,24 @@ class TestUsage:
         assert "must be at least" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("value", ["abc", "4", "1"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["hilbert", "KXY", "--max-degree", "2"], ["verify", "--suite", "split", "--trials", "1"]],
+        ids=["hilbert", "verify"],
+    )
+    def test_bad_prime_in_environment_is_usage_error(
+        self, argv, value, kxy_file, monkeypatch, capsys
+    ):
+        monkeypatch.setenv("QUIVER_REGRADE_PRIME", value)
+        argv = [kxy_file if a == "KXY" else a for a in argv]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert "QUIVER_REGRADE_PRIME" in lines[0] and value in lines[0]
+
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "quiver-regrade" in capsys.readouterr().out

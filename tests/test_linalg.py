@@ -1,4 +1,4 @@
-"""Exact linear algebra: rank, rref, nullspace, solving, complements."""
+"""Exact linear algebra: rank, rref, nullspace, complements, trusted results."""
 
 from __future__ import annotations
 
@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quiver_regrade import GF, QQ, Matrix, nullspace, rank, rank_naive, rref, solve_columns
-from quiver_regrade.linalg import Echelon, column_space_complement
+from quiver_regrade import GF, QQ, Matrix, nullspace, rank, rank_naive, rref
+from quiver_regrade.linalg import Echelon, _kernel_basis, column_space_complement
 
 FIELDS = [QQ, GF(7), GF(32003), GF(4294967311)]  # the last exceeds int64 products
 
@@ -79,6 +79,37 @@ class TestMatrixBasics:
         b = mk(GF(7), [[1]])
         with pytest.raises(ValueError):
             a.mul(b)
+
+
+class TestTrustedResults:
+    """Results built without the constructor's checks are well formed."""
+
+    @staticmethod
+    def assert_well_formed(m):
+        assert Matrix(m.rows, m.cols, m.entries, m.field) == m
+        assert type(m.entries) is tuple and all(type(row) is tuple for row in m.entries)
+        hash(m)
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_every_shape_up_to_4x4(self, field):
+        rng = random.Random("linalg-trusted")
+        for r, c in product(range(5), range(5)):
+            a, b = mk_random(field, rng, r, c), mk_random(field, rng, r, c)
+            results = [a.add(b), a.sub(b), a.scale(field.from_int(-2)), a.neg()]
+            results += [a.mul(mk_random(field, rng, c, k)) for k in range(5)]
+            results += [Matrix.zero(field, r, c), a.rows_at(range(r - 1, -1, -1))]
+            results += [nullspace(a), *column_space_complement(a)]
+            for m in results:
+                self.assert_well_formed(m)
+        for n in range(5):
+            self.assert_well_formed(Matrix.identity(field, n))
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_identity_is_shared(self, field):
+        for n in range(5):
+            i = Matrix.identity(field, n)
+            assert Matrix.identity(field, n) is i
+            assert i.is_identity()
 
 
 class TestRank:
@@ -168,29 +199,26 @@ class TestNullspace:
         assert m.mul(n).is_zero()
 
 
-class TestSolveColumns:
+class TestKernelBasis:
     @pytest.mark.parametrize("field", FIELDS)
-    def test_roundtrip(self, field):
-        rng = random.Random("linalg-solve")
+    def test_free_rows_recover_coordinates(self, field):
+        # the basis is the identity on its free columns, so the rows of b x
+        # there give back x: how morphism_kernel reads an induced action
+        rng = random.Random("linalg-kernel-basis")
         for _ in range(20):
-            r = rng.randrange(1, 4)
-            c = rng.randrange(1, 4)
-            k = rng.randrange(1, 3)
-            a = mk_random(field, rng, r, c)
-            x = mk_random(field, rng, c, k)
-            b = a.mul(x)
-            got = solve_columns(a, b)
-            assert got is not None
-            assert a.mul(got) == b
-
-    def test_unsolvable(self):
-        a = mk(QQ, [[1], [0]])
-        b = mk(QQ, [[0], [1]])
-        assert solve_columns(a, b) is None
+            r = rng.randrange(0, 4)
+            c = rng.randrange(0, 5)
+            k = rng.randrange(0, 3)
+            m = mk_random(field, rng, r, c)
+            basis, free = _kernel_basis(m)
+            assert free == sorted(free) and len(free) == basis.cols
+            assert basis.rows_at(free) == Matrix.identity(field, len(free))
+            x = mk_random(field, rng, basis.cols, k)
+            assert basis.mul(x).rows_at(free) == x
 
 
 # The dense route the pivot-map readers replaced: pad the reduced form out
-# to a Matrix (and solve through an augmented Matrix), then read it back.
+# to a Matrix, then read it back.
 def _dense_rref(m):
     f = m.field
     ech = Echelon(f)
@@ -218,40 +246,18 @@ def _dense_nullspace(m):
     return Matrix(m.cols, len(cols), entries, f)
 
 
-def _dense_solve_columns(a, b):
-    f = a.field
-    aug_rows = [tuple(a.entries[i]) + tuple(b.entries[i]) for i in range(a.rows)]
-    aug = Matrix.from_rows(f, aug_rows, a.cols + b.cols) if a.rows else Matrix.zero(f, 0, a.cols + b.cols)
-    red, pivots = _dense_rref(aug)
-    for c in pivots:
-        if c >= a.cols:
-            return None
-    sol = [[f.zero] * b.cols for _ in range(a.cols)]
-    for r, pc in enumerate(pivots):
-        for j in range(b.cols):
-            sol[pc][j] = red.entries[r][a.cols + j]
-    return Matrix.from_rows(f, sol, b.cols) if a.cols else Matrix.zero(f, 0, b.cols)
-
-
 @pytest.mark.parametrize("field", FIELDS)
 def test_pivot_map_readers_match_dense_reference(field):
     rng = random.Random("linalg-dense-reference")
-    solved = unsolvable = 0
-    for r, c, k in product(range(6), range(6), range(4)):  # 0-row and 0-column shapes too
+    for r, c, _ in product(range(6), range(6), range(4)):  # 0-row and 0-column shapes too
         # mostly zeros, so ranks drop and free columns appear
         a = mk(field, [[rng.choice((0, 0, 0, 1, -1, 2, -3)) for _ in range(c)] for _ in range(r)], c)
-        assert repr(rref(a)) == repr(_dense_rref(a))
-        assert rank(a) == len(_dense_rref(a)[1]) == rank_naive(a)
-        assert repr(nullspace(a)) == repr(_dense_nullspace(a))
-        if rng.random() < 0.5:  # consistent by construction
-            b = a.mul(mk_random(field, rng, c, k))
-        else:  # usually inconsistent once a has a zero row or rank < r
-            b = mk_random(field, rng, r, k)
-        got, want = solve_columns(a, b), _dense_solve_columns(a, b)
-        assert repr(got) == repr(want)
-        solved += got is not None
-        unsolvable += got is None
-    assert solved and unsolvable
+        dense, pivots = _dense_rref(a)
+        assert repr(rref(a)) == repr((dense, pivots))
+        assert rank(a) == len(pivots) == rank_naive(a)
+        basis, free = _kernel_basis(a)
+        assert repr(basis) == repr(nullspace(a)) == repr(_dense_nullspace(a))
+        assert free == [j for j in range(c) if j not in pivots]
 
 
 class TestColumnSpaceComplement:

@@ -31,7 +31,13 @@ from quiver_regrade import (
     trivial_path,
     zero_rep,
 )
-from quiver_regrade.catalog import kxy_diagonal_rep, kxy_presentation
+from quiver_regrade.catalog import (
+    bridge_quiver,
+    kxy_diagonal_rep,
+    kxy_presentation,
+    kxy_split_presentation,
+)
+from quiver_regrade.linalg import Echelon, nullspace
 from quiver_regrade.randomgen import random_morphism, random_rep, rng_for
 
 
@@ -443,3 +449,109 @@ class TestKernelCokernel:
     def test_cokernel_of_identity_is_zero(self, diag_rep):
         coker, _ = morphism_cokernel(identity_morphism(diag_rep))
         assert all(n == 0 for n in coker.dims.values())
+
+
+# The route morphism_kernel/morphism_cokernel took before reading induced
+# actions and residues off the reduced form: solve b_t X = action b_s by an
+# elimination per arrow, and reduce each standard basis vector modulo the
+# image one at a time.
+def _sparse(f, row):
+    return {j: x for j, x in enumerate(row) if not f.is_zero(x)}
+
+
+def _reference_solve_columns(a, b):
+    f = a.field
+    n, k = a.cols, b.cols
+    ech = Echelon(f)
+    for ra, rb in zip(a.entries, b.entries):
+        ech.add(_sparse(f, ra + rb))
+    ech.back_substitute()
+    red = ech.pivots
+    if any(c >= n for c in red):
+        return None
+    sol = [
+        [red[i].get(n + j, f.zero) for j in range(k)] if i in red else [f.zero] * k
+        for i in range(n)
+    ]
+    return Matrix.from_rows(f, sol, k)
+
+
+def _reference_complement(m):
+    f, n = m.field, m.rows
+    ech = Echelon(f)
+    for j in range(m.cols):
+        ech.add(_sparse(f, m.column(j)))
+    free = [c for c in range(n) if c not in ech.pivots]
+    q = [[f.zero] * n for _ in free]
+    for i in range(n):
+        residue = ech.reduce({i: f.one})
+        for k, c in enumerate(free):
+            q[k][i] = residue.get(c, f.zero)
+    e = [[f.one if free[k] == i else f.zero for k in range(len(free))] for i in range(n)]
+    return Matrix.from_rows(f, q, n), Matrix.from_rows(f, e, len(free))
+
+
+def _reference_kernel(phi):
+    src = phi.source
+    basis = {key: nullspace(block) for key, block in phi.blocks.items()}
+    mats = {}
+    for (name, d), action in src.mats.items():
+        a = src.quiver.arrow(name)
+        b_s, b_t = basis.get((a.source, d)), basis.get((a.target, d + a.degree))
+        if b_s is not None and b_t is not None:
+            mats[(name, d)] = _reference_solve_columns(b_t, action.mul(b_s))
+    return {key: b.cols for key, b in basis.items()}, mats, basis
+
+
+def _reference_cokernel(phi):
+    tgt = phi.target
+    split = {key: _reference_complement(block) for key, block in phi.blocks.items()}
+    mats = {}
+    for (name, d), action in tgt.mats.items():
+        a = tgt.quiver.arrow(name)
+        q_t, e_s = split.get((a.target, d + a.degree)), split.get((a.source, d))
+        if q_t is not None and e_s is not None:
+            mats[(name, d)] = q_t[0].mul(action).mul(e_s[1])
+    return {key: q.rows for key, (q, _) in split.items()}, mats, {k: q for k, (q, _) in split.items()}
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003), GF(4294967311)], ids=lambda f: f.spec)
+def test_kernel_and_cokernel_match_reference_route(field):
+    quivers = [kxy_presentation()[0], kxy_split_presentation()[0], bridge_quiver(2)]
+    window = DegreeWindow(0, 3)
+    zero_slots = proper = 0
+    for trial in range(100):
+        rng = rng_for(f"repr-kernel-reference-{field.spec}", trial)
+        q = quivers[trial % len(quivers)]
+        src = random_rep(rng, q, window, field, max_dim=3)
+        # endomorphisms have a large Hom-space, so kernels are proper more often
+        tgt = src if trial % 2 else random_rep(rng, q, window, field, max_dim=3)
+        phi = random_morphism(rng, src, tgt)
+        ker, incl = morphism_kernel(phi)
+        coker, proj = morphism_cokernel(phi)
+        assert repr((ker.dims, ker.mats, incl.blocks)) == repr(_reference_kernel(phi))
+        assert repr((coker.dims, coker.mats, proj.blocks)) == repr(_reference_cokernel(phi))
+        zero_slots += 0 in src.dims.values()
+        proper += any(0 < n < src.dims[key] for key, n in ker.dims.items())
+    assert zero_slots and proper
+
+
+def test_kernel_of_non_morphism_fails_its_square_check(line_quiver, line_rep):
+    # phi kills u but not v, while the action of a maps u onto v nontrivially:
+    # the square at a fails, so the kernel at u is not invariant under a
+    target = GradedRep(
+        quiver=line_quiver,
+        window=DegreeWindow(0, 3),
+        field=QQ,
+        dims=dict(line_rep.dims),
+        mats={("a", 0): Matrix.zero(QQ, 3, 2), ("b", 1): qmat([[1, 2, 3]])},
+    )
+    phi = object.__new__(GradedMorphism)  # skips the constructor's square check
+    phi.source, phi.target = line_rep, target
+    phi.blocks = {
+        ("u", 0): Matrix.zero(QQ, 2, 2),
+        ("v", 1): Matrix.identity(QQ, 3),
+        ("w", 2): Matrix.identity(QQ, 1),
+    }
+    with pytest.raises(MorphismSquareError, match="square fails at arrow 'a', degree 0"):
+        morphism_kernel(phi)
