@@ -24,10 +24,15 @@ from .fileformat import (
     Diagnostic,
     PresentationError,
     parse_presentation,
-    render_representation,
     serialize_presentation,
 )
-from .hilbert import DEFAULT_MAX_DEGREE, graded_dim, graded_dim_naive
+from .hilbert import (
+    DEFAULT_MAX_DEGREE,
+    HilbertRow,
+    graded_dim,
+    graded_dim_naive,
+    hilbert_table,
+)
 from .linalg import Matrix, nullspace, rank, rank_naive, rref
 from .paths import (
     IdealPresentation,
@@ -85,7 +90,6 @@ from .representation import (
     morphism_kernel,
     satisfies,
     shift,
-    zero_rep,
 )
 from .verify import (
     PropertyResult,

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .fields import GF, default_prime, parse_field_spec
 from .fileformat import PresentationError, parse_presentation, serialize_presentation
-from .hilbert import DEFAULT_MAX_DEGREE, graded_dim
+from .hilbert import DEFAULT_MAX_DEGREE, hilbert_table
 from .paths import IdealPresentation, PathCountLimit
 from .quiver import WeightedQuiver, validate, weight_discrepancy
 from .regrade import (
@@ -150,12 +150,19 @@ def _cmd_hilbert(args) -> int:
     if args.vertex is not None and not q.has_vertex(args.vertex):
         raise _CliFailure(f"unknown vertex {args.vertex!r}")
     field = args.field if args.field is not None else _default_field()
-    for d in range(args.max_degree + 1):
-        try:
-            dim = graded_dim(q, ideal, d, vertex=args.vertex, field=field)
-        except PathCountLimit as exc:
-            raise _CliFailure(f"degree {d}: {exc}") from exc
-        print(f"{d} {dim}")
+    d = 0
+    try:
+        for row in hilbert_table(q, ideal, args.max_degree, vertex=args.vertex, field=field):
+            print(f"{row.degree} {row.dim}")
+            if args.stats:
+                print(
+                    f"degree {row.degree}: {row.dim} normal paths, {row.basis_added} basis "
+                    f"elements added, {row.rows} echelon rows, {row.seconds:.4f}s",
+                    file=sys.stderr,
+                )
+            d = row.degree + 1
+    except PathCountLimit as exc:
+        raise _CliFailure(f"degree {d}: {exc}") from exc
     return 0
 
 
@@ -219,6 +226,9 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="q for rationals, pN for a prime field (default: the default prime)",
     )
+    p.add_argument("--stats", action="store_true",
+                   help="per degree, write the normal paths, basis elements added, "
+                   "echelon rows and seconds to stderr")
     p.set_defaults(handler=_cmd_hilbert)
 
     p = sub.add_parser("verify", help="run the property suites")

@@ -82,9 +82,6 @@ class Rationals:
             raise ZeroDivisionError("inverse of zero")
         return 1 / a
 
-    def div(self, a: Fraction, b: Fraction) -> Fraction:
-        return a / b
-
     def is_zero(self, a: Fraction) -> bool:
         return a == 0
 
@@ -146,9 +143,6 @@ class PrimeField:
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, self.p - 2, self.p)
-
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
 
     def is_zero(self, a: int) -> bool:
         return a % self.p == 0

@@ -316,24 +316,6 @@ def parse_presentation(text: str) -> tuple[WeightedQuiver, IdealPresentation]:
     return q, IdealPresentation.of(generators)
 
 
-def render_representation(rep) -> str:
-    """Diagnostic text for a graded representation: a dimension table per
-    vertex and one block per (arrow, degree), scalars rendered exactly.
-
-    One-way; meant for counterexample dumps and debugging, not re-parsing.
-    """
-    f = rep.field
-    lines = [f"[representation] window {rep.window} field {f.spec}"]
-    for (v, d) in sorted(rep.dims):
-        lines.append(f"dim {v} {d} {rep.dims[(v, d)]}")
-    for (a, d) in sorted(rep.mats):
-        m = rep.mats[(a, d)]
-        lines.append(f"mat {a} {d} {m.rows}x{m.cols}")
-        for row in m.entries:
-            lines.append("  " + " ".join(f.format(x) for x in row))
-    return "\n".join(lines) + "\n"
-
-
 def serialize_presentation(q: WeightedQuiver, ideal: IdealPresentation) -> str:
     """Canonical text: sorted declarations, generators in presentation order.
 

@@ -128,28 +128,9 @@ class Matrix:
         out = tuple([tuple([neg(a) for a in row]) for row in self.entries])
         return Matrix._trusted(self.rows, self.cols, out, self.field)
 
-    def transpose(self) -> "Matrix":
-        return Matrix(
-            self.cols,
-            self.rows,
-            tuple(tuple(self.entries[i][j] for i in range(self.rows)) for j in range(self.cols)),
-            self.field,
-        )
-
     def is_zero(self) -> bool:
         f = self.field
         return all(f.is_zero(a) for row in self.entries for a in row)
-
-    def is_identity(self) -> bool:
-        if self.rows != self.cols:
-            return False
-        f = self.field
-        for i in range(self.rows):
-            for j in range(self.cols):
-                want = f.one if i == j else f.zero
-                if self.entries[i][j] != want:
-                    return False
-        return True
 
     def column(self, j: int) -> tuple[Scalar, ...]:
         return tuple(self.entries[i][j] for i in range(self.rows))

@@ -115,16 +115,6 @@ class GradedRep:
         return self.mats.get((a, d))
 
 
-def zero_rep(quiver: WeightedQuiver, window: DegreeWindow, field: Field) -> GradedRep:
-    dims = {(v, d): 0 for v in quiver.vertices for d in window.degrees()}
-    mats = {}
-    for a in quiver.arrows:
-        for d in window.degrees():
-            if window.contains(d + a.degree):
-                mats[(a.name, d)] = Matrix.zero(field, 0, 0)
-    return GradedRep(quiver, window, field, dims, mats)
-
-
 def evaluate_path(rep: GradedRep, p: Path, d: int) -> Matrix:
     """Composite of the arrow blocks along p, first arrow applied first."""
     if p.is_trivial:

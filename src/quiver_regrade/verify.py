@@ -31,7 +31,7 @@ from .catalog import (
 )
 from .fields import GF, QQ, Field, default_prime
 from .fileformat import serialize_presentation
-from .hilbert import graded_dim, graded_dim_naive
+from .hilbert import graded_dim, graded_dim_naive, hilbert_table
 from .linalg import rank
 from .paths import (
     IdealPresentation,
@@ -660,10 +660,11 @@ def prop_expansion_dims(cfg: SuiteConfig) -> PropertyResult:
 def prop_golden_two_loop_table(cfg: SuiteConfig) -> PropertyResult:
     rec = _Recorder("golden_two_loop_table")
     q, ideal = kxy_presentation()
-    for d in range(cfg.max_degree + 1):
+    top = cfg.max_degree
+    tables = zip(hilbert_table(q, ideal, top), hilbert_table(q, ideal, top, field=cfg.field))
+    for row, row_p in tables:
+        d, got, got_p = row.degree, row.dim, row_p.dim
         want = d // 2 + 1
-        got = graded_dim(q, ideal, d)
-        got_p = graded_dim(q, ideal, d, field=cfg.field)
         # the second-opinion routine is slow over the rationals; keep its
         # share of the table small here (the acceptance gate runs it wider)
         got_naive = graded_dim_naive(q, ideal, d) if d <= 6 else want
@@ -681,11 +682,16 @@ def prop_split_table_agreement(cfg: SuiteConfig) -> PropertyResult:
     base_q, base_i = kxy_presentation()
     res = regrade(base_q, base_i)
     q, ideal = res.final_quiver, res.final_ideal
-    for d in range(cfg.max_degree + 1):
-        total = graded_dim(q, ideal, d)
-        by_vertex = sum(graded_dim(q, ideal, d, vertex=v) for v in q.vertices)
-        modp = graded_dim(q, ideal, d, field=cfg.field)
-        corner = graded_dim(q, ideal, d, vertex="v")
+    top = cfg.max_degree
+    tables = zip(
+        hilbert_table(q, ideal, top),
+        hilbert_table(q, ideal, top, field=cfg.field),
+        hilbert_table(q, ideal, top, vertex="v"),
+        *(hilbert_table(q, ideal, top, vertex=v) for v in q.vertices),
+    )
+    for total_row, modp_row, corner_row, *vertex_rows in tables:
+        d, total, modp, corner = total_row.degree, total_row.dim, modp_row.dim, corner_row.dim
+        by_vertex = sum(row.dim for row in vertex_rows)
         corner_naive = graded_dim_naive(q, ideal, d, vertex="v") if d <= 8 else corner
         ok = total == by_vertex and total == modp and corner == corner_naive
         rec.record(ok, lambda d=d, total=total, modp=modp, by_vertex=by_vertex,

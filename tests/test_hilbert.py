@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from math import comb
+
 import pytest
 
 from quiver_regrade import (
@@ -12,6 +14,8 @@ from quiver_regrade import (
     enumerate_paths,
     graded_dim,
     graded_dim_naive,
+    hilbert_table,
+    parse_presentation,
 )
 from quiver_regrade.catalog import kxy_presentation, kxy_split_presentation
 from quiver_regrade.randomgen import random_ideal, random_quiver, rng_for
@@ -143,3 +147,147 @@ class TestRandomAgreement:
         ideal = random_ideal(rng, q)
         for d in range(5):
             assert graded_dim(q, ideal, d, field=GF(32003)) >= graded_dim(q, ideal, d)
+
+
+def _kxyz():
+    return parse_presentation(
+        "[quiver]\nvertex v\narrow x v v 1\narrow y v v 1\narrow z v v 1\n"
+        "[relations]\nx*y - y*x\nx*z - z*x\ny*z - z*y\n"
+    )
+
+
+def _dims(q, ideal, top, **kw):
+    return [row.dim for row in hilbert_table(q, ideal, top, **kw)]
+
+
+class TestTable:
+    def test_rows_and_graded_dim_agree(self, kxy_split):
+        q, ideal = kxy_split
+        rows = list(hilbert_table(q, ideal, 8, vertex="v"))
+        assert [row.degree for row in rows] == list(range(9))
+        assert [row.dim for row in rows] == [
+            graded_dim(q, ideal, d, vertex="v") for d in range(9)
+        ]
+
+    def test_work_counts(self):
+        # k[x,y,z]: the three commutators are the whole basis; the one
+        # overlap (z*y)*x = z*(y*x) is reduced in degree 3 and adds nothing
+        q, ideal = _kxyz()
+        rows = list(hilbert_table(q, ideal, 4))
+        assert [row.basis_added for row in rows] == [0, 0, 3, 0, 0]
+        assert [row.rows for row in rows] == [0, 0, 3, 5, 0]
+
+    def test_bad_arguments(self, kxy):
+        q, ideal = kxy
+        with pytest.raises(ValueError):
+            hilbert_table(q, ideal, -1)
+        with pytest.raises(KeyError):
+            hilbert_table(q, ideal, 2, vertex="ghost")
+
+    def test_basis_size_guard(self):
+        # x*y*x - y*y and x*y - x*x*x leave one normal path per degree, but
+        # grow a basis element in degree 6: a guard of 2 trips on the basis
+        q, ideal = parse_presentation(
+            "[quiver]\nvertex v\narrow x v v 1\narrow y v v 2\n"
+            "[relations]\nx*y - x*x*x\nx*y*x - y*y\n"
+        )
+        assert _dims(q, ideal, 5, max_paths=2) == [1, 1, 2, 2, 2, 2]
+        with pytest.raises(PathCountLimit, match="basis elements"):
+            graded_dim(q, ideal, 6, max_paths=2)
+
+
+class TestGrobnerEdgeCases:
+    CYCLE = "[quiver]\nvertex u\nvertex v\narrow a u v 1\narrow b v u 1\n[relations]\n"
+
+    def test_degree_zero_relation_kills_its_vertex(self):
+        # e_v in the ideal kills every path through v: only e_u is left
+        q, ideal = parse_presentation(self.CYCLE + "e_v\n")
+        assert _dims(q, ideal, 6) == [1, 0, 0, 0, 0, 0, 0]
+        assert _dims(q, ideal, 6, vertex="u") == [1, 0, 0, 0, 0, 0, 0]
+        assert _dims(q, ideal, 6, vertex="v") == [0] * 7
+        for d in range(5):
+            for vertex in (None, "u", "v"):
+                assert graded_dim(q, ideal, d, vertex=vertex) == graded_dim_naive(
+                    q, ideal, d, vertex=vertex
+                )
+
+    def test_degree_zero_relation_with_others(self):
+        q, ideal = parse_presentation(self.CYCLE + "a*b*a\n2*e_v\nb*a*b\n")
+        for field in (QQ, GF(32003)):
+            assert _dims(q, ideal, 5, field=field) == [
+                graded_dim_naive(q, ideal, d, field=field) for d in range(6)
+            ] == [1, 0, 0, 0, 0, 0]
+
+    def test_relation_vanishing_mod_p(self):
+        q, ideal = parse_presentation(
+            "[quiver]\nvertex v\narrow x v v 1\n[relations]\n32003*x*x\n"
+        )
+        assert _dims(q, ideal, 5) == [1, 1, 0, 0, 0, 0]
+        assert _dims(q, ideal, 5, field=GF(32003)) == [1] * 6
+        assert _dims(q, ideal, 5, field=GF(7)) == [1, 1, 0, 0, 0, 0]
+
+    def test_quiver_without_arrows(self):
+        q, ideal = parse_presentation("[quiver]\nvertex u\nvertex v\n")
+        assert _dims(q, ideal, 4) == [2, 0, 0, 0, 0]
+        assert _dims(q, ideal, 4, vertex="v") == [1, 0, 0, 0, 0]
+
+    @pytest.mark.parametrize(
+        "relations, want",
+        [
+            # leading paths x*y (degree 3) and y*y (degree 4) overlap in
+            # x*y*y; that S-element brings a basis element in degree 6
+            (["x*y - x*x*x", "x*y*x - y*y"], [1, 1, 2, 2, 2, 2, 1, 1, 1]),
+            (["y*x - x*x*x", "x*x*y - y*y"], [1, 1, 2, 2, 2, 2, 2, 2, 2]),
+            (["y*x - x*x*x", "x*y - y*x"], [1, 1, 2, 1, 2, 1, 2, 1, 2]),
+        ],
+    )
+    def test_mixed_degree_overlaps(self, relations, want):
+        q, ideal = parse_presentation(
+            "[quiver]\nvertex v\narrow x v v 1\narrow y v v 2\n[relations]\n"
+            + "\n".join(relations)
+            + "\n"
+        )
+        for field in (QQ, GF(32003)):
+            assert _dims(q, ideal, 8, field=field) == want
+        assert [graded_dim_naive(q, ideal, d) for d in range(9)] == want
+
+
+class TestDeepTables:
+    def test_commutative_three_variables_to_degree_30(self):
+        q, ideal = _kxyz()
+        want = [comb(d + 2, 2) for d in range(31)]
+        assert _dims(q, ideal, 30, field=GF(32003)) == want
+        assert _dims(q, ideal, 30) == want
+        assert graded_dim(q, ideal, 30) == comb(32, 2)
+
+    def test_two_loop_to_degree_200(self, kxy):
+        q, ideal = kxy
+        assert _dims(q, ideal, 200) == [d // 2 + 1 for d in range(201)]
+        assert graded_dim(q, ideal, 200, field=GF(32003)) == 101
+
+
+class TestDifferential:
+    """hilbert_table against graded_dim_naive on 200 seeded presentations,
+    over Q and F_32003, from a random vertex or from all of them."""
+
+    @pytest.mark.parametrize("block", range(8))
+    def test_against_naive(self, block):
+        top, compared = 5, 0
+        for seed in range(25 * block, 25 * block + 25):
+            rng = rng_for("hilbert-differential", seed)
+            q = random_quiver(rng, max_vertices=3, max_arrows=4)
+            ideal = random_ideal(rng, q)
+            vertex = rng.choice([None, *q.vertices])
+            for field in (QQ, GF(32003)):
+                try:
+                    want = [
+                        graded_dim_naive(q, ideal, d, vertex=vertex, field=field, max_paths=120)
+                        for d in range(top + 1)
+                    ]
+                except PathCountLimit:
+                    continue
+                got = _dims(q, ideal, top, vertex=vertex, field=field)
+                assert got == want, (seed, field, vertex)
+                assert got[-1] == graded_dim(q, ideal, top, vertex=vertex, field=field)
+                compared += 1
+        assert compared >= 40  # the naive guard skips only a few presentations

@@ -41,7 +41,7 @@ class TestMatrixBasics:
     def test_identity_and_zero(self):
         i = Matrix.identity(QQ, 3)
         z = Matrix.zero(QQ, 2, 3)
-        assert i.is_identity()
+        assert i.entries == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
         assert z.is_zero()
         assert not i.is_zero()
 
@@ -65,10 +65,6 @@ class TestMatrixBasics:
         assert b.sub(a) == mk(QQ, [[4, 4], [4, 4]])
         assert a.scale(QQ.from_int(2)) == mk(QQ, [[2, 4], [6, 8]])
         assert a.neg().add(a).is_zero()
-
-    def test_transpose(self):
-        a = mk(QQ, [[1, 2, 3], [4, 5, 6]])
-        assert a.transpose() == mk(QQ, [[1, 4], [2, 5], [3, 6]])
 
     def test_column(self):
         a = mk(QQ, [[1, 2], [3, 4]])
@@ -109,7 +105,9 @@ class TestTrustedResults:
         for n in range(5):
             i = Matrix.identity(field, n)
             assert Matrix.identity(field, n) is i
-            assert i.is_identity()
+            assert i.entries == tuple(
+                tuple(field.one if r == c else field.zero for c in range(n)) for r in range(n)
+            )
 
 
 class TestRank:
@@ -275,7 +273,7 @@ class TestColumnSpaceComplement:
             if cod and c:
                 assert q.mul(m).is_zero()
             if cod:
-                assert q.mul(e).is_identity()
+                assert q.mul(e) == Matrix.identity(field, cod)
 
 
 @settings(max_examples=60, deadline=None)
@@ -290,5 +288,5 @@ def test_rank_invariants(data):
     m = mk(QQ, data)
     r = rank(m)
     assert 0 <= r <= min(m.rows, m.cols)
-    assert r == rank(m.transpose())
+    assert r == rank(mk(QQ, [list(col) for col in zip(*data)]))
     assert r == rank_naive(m)

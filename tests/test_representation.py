@@ -29,7 +29,6 @@ from quiver_regrade import (
     satisfies,
     shift,
     trivial_path,
-    zero_rep,
 )
 from quiver_regrade.catalog import (
     bridge_quiver,
@@ -149,7 +148,8 @@ class TestGradedRepValidation:
 class TestEvaluatePath:
     def test_trivial_is_identity(self, line_rep):
         e = trivial_path("u")
-        assert evaluate_path(line_rep, e, 0).is_identity()
+        m = evaluate_path(line_rep, e, 0)
+        assert m == Matrix.identity(QQ, m.rows)
 
     def test_composes_right_to_left(self, line_quiver, line_rep):
         # The word (a, b) acts as M_b after M_a.
@@ -201,7 +201,14 @@ class TestSatisfies:
 
     def test_zero_rep_satisfies_everything(self, kxy, window):
         q, ideal = kxy
-        ok, violations = satisfies(zero_rep(q, window, QQ), ideal)
+        dims = {(v, d): 0 for v in q.vertices for d in window.degrees()}
+        mats = {
+            (a.name, d): Matrix.zero(QQ, 0, 0)
+            for a in q.arrows
+            for d in window.degrees()
+            if window.contains(d + a.degree)
+        }
+        ok, violations = satisfies(GradedRep(q, window, QQ, dims, mats), ideal)
         assert ok and violations == []
 
     def test_unevaluable_degrees_masked(self):
@@ -260,7 +267,7 @@ class TestGradedMorphism:
     def test_identity(self, diag_rep):
         ident = identity_morphism(diag_rep)
         for key, block in ident.blocks.items():
-            assert block.is_identity()
+            assert block == Matrix.identity(block.field, block.rows)
 
     def test_commuting_square_enforced(self, line_quiver, line_rep):
         # A target with zeroed arrow action cannot receive a nonzero map.
