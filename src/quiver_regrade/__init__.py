@@ -51,8 +51,6 @@ from .paths import (
 from .quiver import (
     Arrow,
     WeightedQuiver,
-    fresh_split_names,
-    fresh_vertex_name,
     validate,
     weight_discrepancy,
 )

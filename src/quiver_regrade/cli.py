@@ -94,7 +94,7 @@ def render_regrade(result: RegradeResult) -> str:
     n = len(result.trace)
     lines = [f"# regrade: {n} split" + ("" if n == 1 else "s")]
     for t in result.trace:
-        b = t.before.arrow(t.split_arrow)
+        b = t.arrow
         lines.append(
             f"# split {t.split_arrow}: {t.first} ({b.source} -> {t.new_vertex}, "
             f"degree 1), {t.second} ({t.new_vertex} -> {b.target}, "

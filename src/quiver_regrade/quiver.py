@@ -81,25 +81,3 @@ def validate(q: WeightedQuiver) -> list[str]:
 def weight_discrepancy(q: WeightedQuiver) -> int:
     """Total arrow degree minus arrow count; zero iff all degrees are 1."""
     return sum(a.degree for a in q.arrows) - len(q.arrows)
-
-
-def fresh_vertex_name(q: WeightedQuiver) -> str:
-    taken = set(q.vertices) | {a.name for a in q.arrows}
-    if "z" not in taken:
-        return "z"
-    i = 1
-    while f"z{i}" in taken:
-        i += 1
-    return f"z{i}"
-
-
-def fresh_split_names(q: WeightedQuiver, arrow_name: str) -> tuple[str, str]:
-    """Names for the two halves of a split arrow, collision-free."""
-    taken = {a.name for a in q.arrows} | set(q.vertices)
-    first, second = arrow_name + "'", arrow_name + "''"
-    if first not in taken and second not in taken:
-        return first, second
-    i = 1
-    while f"{first}{i}" in taken or f"{second}{i}" in taken:
-        i += 1
-    return f"{first}{i}", f"{second}{i}"

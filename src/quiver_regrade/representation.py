@@ -186,7 +186,7 @@ def expand_rep(t: SplitTrace, rep: GradedRep) -> GradedRep:
     """Transport a representation across the split, into the split quiver."""
     if rep.quiver != t.before:
         raise QuiverMismatchError("representation does not live on the unsplit quiver")
-    b = t.before.arrow(t.split_arrow)
+    b = t.arrow
     window = rep.window
     dims: dict[Slot, int] = dict(rep.dims)
     for (v, d), n in rep.dims.items():
@@ -308,7 +308,7 @@ def expand_morphism(t: SplitTrace, phi: GradedMorphism) -> GradedMorphism:
     """Functorial transport of a morphism into the split quiver."""
     src = expand_rep(t, phi.source)
     tgt = expand_rep(t, phi.target)
-    b = t.before.arrow(t.split_arrow)
+    b = t.arrow
     blocks = dict(phi.blocks)
     for (v, d) in src.dims:
         if v != t.new_vertex:

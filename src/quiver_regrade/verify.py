@@ -640,7 +640,7 @@ def prop_expansion_dims(cfg: SuiteConfig) -> PropertyResult:
         q, t = _random_split_setup(rng)
         m = random_rep(rng, q, cfg.window, cfg.field, cfg.max_dim)
         fm = expand_rep(t, m)
-        src = t.before.arrow(t.split_arrow).source
+        src = t.arrow.source
         ok = True
         for (v, d), size in fm.dims.items():
             if v == t.new_vertex:

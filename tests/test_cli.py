@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import subprocess
 import sys
@@ -123,6 +124,20 @@ class TestRegrade:
         assert "weight discrepancy 999999999" in proc.stderr
         assert f"bound {MAX_DISCREPANCY}" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_names_at_the_bound(self, tmp_path):
+        # one loop at the bound is 2000 splits of ever longer primed names;
+        # the digest pins every split line and name of the output
+        assert MAX_DISCREPANCY == 2000
+        p = tmp_path / "loop.quiver"
+        p.write_text("[quiver]\nvertex v\narrow x v v 2001\n")
+        out_path = tmp_path / "out.quiver"
+        assert main(["regrade", str(p), "-o", str(out_path)]) == 0
+        data = out_path.read_bytes()
+        assert len(data) == 16_204_278
+        assert hashlib.sha256(data).hexdigest() == (
+            "c8695c32834f159903a933b49de3850d422fdfcd0549cc5239af3def184eea10"
+        )
 
 
 def _hilbert_table(argv, capsys) -> list[tuple[int, int]]:

@@ -7,9 +7,8 @@ import pytest
 from quiver_regrade import (
     Arrow,
     WeightedQuiver,
-    fresh_split_names,
-    fresh_vertex_name,
     pick_split_target,
+    split_arrow,
     validate,
     weight_discrepancy,
 )
@@ -113,14 +112,16 @@ class TestPickSplitTarget:
 
 
 class TestFreshNames:
+    # the names a split gives its fresh vertex and its two halves
     def test_plain(self, kxy):
         q, _ = kxy
-        assert fresh_vertex_name(q) == "z"
-        assert fresh_split_names(q, "y") == ("y'", "y''")
+        t = split_arrow(q, "y")
+        assert t.new_vertex == "z"
+        assert (t.first, t.second) == ("y'", "y''")
 
     def test_vertex_collision(self):
         q = q_of(["z", "z1"], [("a", "z", "z", 2)])
-        name = fresh_vertex_name(q)
+        name = split_arrow(q, "a").new_vertex
         assert name not in q.vertices
         assert name == "z2"
 
@@ -129,9 +130,9 @@ class TestFreshNames:
             ["u"],
             [("b", "u", "u", 2), ("b'", "u", "u", 1)],
         )
-        first, second = fresh_split_names(q, "b")
-        assert (first, second) == ("b'1", "b''1")
-        assert first not in q.arrow_map and second not in q.arrow_map
+        t = split_arrow(q, "b")
+        assert (t.first, t.second) == ("b'1", "b''1")
+        assert t.first not in q.arrow_map and t.second not in q.arrow_map
 
 
 class TestCatalogShapes:

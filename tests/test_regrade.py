@@ -3,17 +3,22 @@
 from __future__ import annotations
 
 import importlib
+import random
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
 
 from quiver_regrade import (
+    Arrow,
     DiscrepancyLimit,
     IdealPresentation,
     PathSum,
     QQ,
     SplitError,
+    SplitTrace,
     UniformElement,
+    WeightedQuiver,
     multiply_sums,
     parse_presentation,
     path_from_arrows,
@@ -315,3 +320,108 @@ class TestDiscrepancyGuard:
         assert len(regrade(heavy_loop_quiver(3), empty_ideal).trace) == 2
         with pytest.raises(DiscrepancyLimit):
             regrade(heavy_loop_quiver(4), empty_ideal)
+
+
+def rebuilt_split(q, name):
+    """One split that rebuilds the whole quiver, with the naming rule spelt
+    out: the first free name of z, z1, z2, ... for the vertex, and b', b''
+    or else b'i, b''i for the smallest i with both free."""
+    arrow = q.arrow(name)
+    taken = set(q.vertices) | {a.name for a in q.arrows}
+    z = next(n for n in ["z"] + [f"z{i}" for i in range(1, len(taken) + 2)] if n not in taken)
+    first, second = name + "'", name + "''"
+    if first in taken or second in taken:
+        i = next(i for i in range(1, len(taken) + 2)
+                 if f"{first}{i}" not in taken and f"{second}{i}" not in taken)
+        first, second = f"{first}{i}", f"{second}{i}"
+    kept = [a for a in q.arrows if a.name != name]
+    kept += [Arrow(first, arrow.source, z, 1), Arrow(second, z, arrow.target, arrow.degree - 1)]
+    after = WeightedQuiver.build(list(q.vertices) + [z], kept)
+    return SplitTrace(name, arrow, z, first, second, q, after)
+
+
+def large_shape_presentation():
+    """24 vertices, 60 arrows in parallel pairs of degree 1-8 (discrepancy
+    174): the shape of the large regrade benchmark input."""
+    shape = random.Random("regrade-steps-large")
+    vertices = [f"p{i}" for i in range(24)]
+    arrows = []
+    for i in range(30):
+        src = vertices[i] if i < 24 else shape.choice(vertices)
+        tgt = vertices[(i + 1) % 24] if i < 24 else shape.choice(vertices)
+        deg = (1, 2, 3, 4, 5, 6, 7, 8, 1, 2)[i % 10]
+        arrows += [Arrow(f"a{i}", src, tgt, deg), Arrow(f"b{i}", src, tgt, deg)]
+    q = WeightedQuiver.build(vertices, arrows)
+    return q, random_ideal(shape, q, max_generators=6, max_degree=6)
+
+
+# z, z1 and z3 are split, so each of their names is freed and taken again
+# by a later fresh vertex
+FREED_Z = """[quiver]
+vertex u
+vertex v
+arrow z v v 3
+arrow z1 v u 2
+arrow z3 u v 4
+arrow w u u 2
+
+[relations]
+z1*z3*z - 2*z*z*z
+w*z3*z1*w
+"""
+
+
+class TestSplitSteps:
+    """Each step of ``regrade`` equals one split of its ``before`` quiver on
+    the arrow ``pick_split_target`` picks, made by a fresh ``split_arrow``
+    and by a split that rebuilds the whole quiver."""
+
+    def assert_steps(self, q, ideal):
+        r = regrade(q, ideal)
+        assert len(r.trace) == weight_discrepancy(q)
+        for t in r.trace:
+            target = pick_split_target(t.before)
+            assert t.split_arrow == target
+            for want in (split_arrow(t.before, target), rebuilt_split(t.before, target)):
+                for f in fields(SplitTrace):
+                    assert getattr(t, f.name) == getattr(want, f.name), f.name
+        assert pick_split_target(r.final_quiver) is None
+        return r
+
+    def test_random_presentations(self):
+        for seed in range(240):
+            rng = rng_for("regrade-one-pass", seed)
+            q = random_quiver(rng, require_heavy=True)
+            self.assert_steps(q, random_ideal(rng, q))
+
+    def test_colliding_reused_and_golden(self, golden_dir):
+        for text in (
+            COLLIDING,
+            REUSED,
+            (golden_dir / "kxy.quiver").read_text(),
+            (golden_dir / "kxy_regraded.quiver").read_text(),
+        ):
+            self.assert_steps(*parse_presentation(text))
+
+    def test_large_parallel_pairs(self):
+        q, ideal = large_shape_presentation()
+        assert (len(q.vertices), len(q.arrows), weight_discrepancy(q)) == (24, 60, 174)
+        r = self.assert_steps(q, ideal)
+        assert r.final_ideal == sequential_ideal(ideal, r.trace)
+
+    def test_freed_z_names_are_reused(self):
+        q, ideal = parse_presentation(FREED_Z)
+        r = self.assert_steps(q, ideal)
+        split = [t.split_arrow for t in r.trace]
+        fresh = [t.new_vertex for t in r.trace]
+        for name in ("z", "z1", "z3"):
+            assert fresh.index(name) > split.index(name)
+        assert r.final_ideal == sequential_ideal(ideal, r.trace)
+
+    def test_arrow_named_like_a_vertex(self, empty_ideal):
+        # an arrow may share its name with a vertex; its split frees the
+        # arrow's name, while the vertex keeps it taken
+        q = WeightedQuiver(("z",), (Arrow("z", "z", "z", 3),))
+        r = self.assert_steps(q, empty_ideal)
+        assert [t.new_vertex for t in r.trace] == ["z1", "z2"]
+        assert validate(r.final_quiver) == []
