@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
 
+from quiver_regrade import verify
 from quiver_regrade import (
     GF,
     DegreeWindow,
@@ -164,3 +166,26 @@ class TestRendering:
                 assert set(res) >= {"property", "trials", "failures", "warnings"}
                 assert res["failures"] == 0
                 assert res["first_counterexample"] is None
+
+
+class TestFailureReport:
+    """Pins the full text of a failing run, counterexamples included."""
+
+    def test_injected_faults(self, monkeypatch):
+        # one fault per suite: a split that keeps the discrepancy, a collapse
+        # that is the identity, and a second-opinion dimension that is 1
+        monkeypatch.setattr(verify, "weight_discrepancy", lambda q: 0)
+        monkeypatch.setattr(verify, "collapse_rep", lambda t, r: r)
+        monkeypatch.setattr(verify, "graded_dim_naive", lambda *a, **k: 1)
+        text = render_reports(run_suites(verify.SUITE_NAMES, SuiteConfig(seed=5, trials=30)))
+        data = text.encode()
+        assert len(data) == 2817
+        assert hashlib.sha256(data).hexdigest() == (
+            "12754d0888795bbe05f14a7874b437a26a5c37c8a97401d885b2c2fbb086d485"
+        )
+        failed = [line.split()[1] for line in text.splitlines() if line.startswith("  FAIL ")]
+        assert failed == [
+            "split_golden_structure", "discrepancy_decrement", "regrade_terminates",
+            "collapse_expand_identity", "golden_two_loop_table",
+            "split_table_agreement", "random_agreement",
+        ]
