@@ -139,7 +139,10 @@ def _cmd_regrade(args) -> int:
         raise _CliFailure(str(exc)) from exc
     text = render_regrade(result)
     if args.output is not None:
-        Path(args.output).write_text(text, encoding="utf-8")
+        try:
+            Path(args.output).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise _CliFailure(f"cannot write {args.output}: {exc}") from exc
     else:
         sys.stdout.write(text)
     return 0
@@ -150,6 +153,11 @@ def _cmd_hilbert(args) -> int:
     if args.vertex is not None and not q.has_vertex(args.vertex):
         raise _CliFailure(f"unknown vertex {args.vertex!r}")
     field = args.field if args.field is not None else _default_field()
+    for gen in ideal:
+        try:
+            gen.sum.to_field(field)
+        except ZeroDivisionError as exc:
+            raise _CliFailure(f"relation {gen}: {exc}; use --field q or another prime") from None
     d = 0
     try:
         for row in hilbert_table(q, ideal, args.max_degree, vertex=args.vertex, field=field):

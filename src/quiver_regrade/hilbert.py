@@ -33,15 +33,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field as dc_field
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .fields import QQ, Field, Scalar
 from .linalg import Echelon, Matrix, rank_naive
 from .paths import (
     IdealPresentation,
-    Path,
     PathCountLimit,
-    PathSum,
     enumerate_paths,
     multiply_paths,
 )
@@ -202,17 +200,9 @@ def hilbert_table(
     return _table(q, ideal, max_degree, vertex, field, max_paths)
 
 
-def _terms(s: PathSum, field: Field) -> Sequence[tuple[Path, Scalar]]:
-    """The terms of ``s`` over ``field``, without the coefficients that vanish there."""
-    if s.field == field or s.field != QQ:
-        return s.to_field(field).terms  # as they are, or to_field's refusal
-    conv, is_zero = field.from_fraction, field.is_zero
-    return [(p, c) for p, c in ((p, conv(c)) for p, c in s.terms) if not is_zero(c)]
-
-
 def _table(q, ideal, max_degree, vertex, field, max_paths) -> Iterator[HilbertRow]:
     started = time.perf_counter()
-    gens = [(g.degree, g.source, _terms(g.sum, field)) for g in ideal if g.degree <= max_degree]
+    gens = [(g.degree, g.source, g.sum.to_field(field).terms) for g in ideal if g.degree <= max_degree]
     dead = {v for degree, v, terms in gens if degree == 0 and terms}
     arrows = [a for a in q.arrows if a.source not in dead and a.target not in dead]
     basis = _Basis(field, {a.name: a.degree for a in arrows}, max_degree, max_paths)
@@ -277,7 +267,7 @@ def _relation_rows(
     max_paths: int | None,
 ) -> Iterator[dict]:
     for gen in ideal:
-        sum_in_field = gen.sum.to_field(field) if gen.sum.field != field else gen.sum
+        sum_in_field = gen.sum.to_field(field)
         if degree < gen.degree:
             continue
         for left_deg in range(degree - gen.degree + 1):

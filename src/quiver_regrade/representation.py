@@ -136,7 +136,7 @@ def evaluate_path(rep: GradedRep, p: Path, d: int) -> Matrix:
 
 def evaluate_relation(rep: GradedRep, elem: UniformElement, d: int) -> Matrix:
     """Coefficient-weighted sum of path evaluations of a uniform element."""
-    ps = elem.sum.to_field(rep.field) if elem.sum.field != rep.field else elem.sum
+    ps = elem.sum.to_field(rep.field)
     total: Matrix | None = None
     for p, coeff in ps.terms:
         contrib = evaluate_path(rep, p, d).scale(coeff)

@@ -11,9 +11,13 @@ Three suites, each a list of named properties:
   between independent rank routines and between coefficient fields.
 
 Every randomized trial draws its own RNG from (seed, property, trial), so a
-failure line is replayable in isolation.  Report rendering contains no
-timing or environment data: two runs with the same arguments produce
-byte-identical text.
+failure is replayable in isolation: given a counterexample's
+``# replay: seed=S property=P trial=T`` line, feed the stream that
+``randomgen.rng_for`` returns for (S, P, T) to the body of ``verify.prop_P``
+(one pass of its trial loop).  The trial loop, its count and its replay line
+live in ``_Recorder``; a property states only its check.  Report rendering
+contains no timing or environment data: two runs with the same arguments
+produce byte-identical text.
 """
 
 from __future__ import annotations
@@ -185,21 +189,38 @@ def _counterexample(replay: str, detail: list[str], q: WeightedQuiver | None = N
 
 
 class _Recorder:
-    """Accumulates per-trial outcomes for one property."""
+    """The trials of one property: counts, replay lines, first counterexample.
 
-    def __init__(self, name: str):
+    A trial is one seeded stream (:meth:`seeded`) or one golden check
+    (:meth:`trial`); either sets the replay line that :meth:`fail` prints.
+    """
+
+    def __init__(self, name: str, cfg: SuiteConfig):
         self.name = name
+        self.cfg = cfg
         self.trials = 0
         self.failures = 0
         self.warnings = 0
         self.first: str | None = None
+        self.replay = ""
 
-    def record(self, ok: bool, counterexample=None):
+    def seeded(self, trials: int | None = None):
+        """Yield the RNG of each trial, drawn from (seed, name, trial);
+        ``trials`` defaults to ``cfg.trials``."""
+        seed = self.cfg.seed
+        for trial in range(self.cfg.trials if trials is None else trials):
+            self.trial(f"seed={seed} property={self.name} trial={trial}")
+            yield rng_for(seed, self.name, trial)
+
+    def trial(self, replay: str):
         self.trials += 1
-        if not ok:
-            self.failures += 1
-            if self.first is None and counterexample is not None:
-                self.first = counterexample() if callable(counterexample) else counterexample
+        self.replay = replay
+
+    def fail(self, detail: list[str], q: WeightedQuiver | None = None,
+             ideal: IdealPresentation | None = None):
+        self.failures += 1
+        if self.first is None:
+            self.first = _counterexample(self.replay, detail, q, ideal)
 
     def warn(self):
         self.warnings += 1
@@ -210,14 +231,21 @@ class _Recorder:
         )
 
 
+def _run(suite: str, cfg: SuiteConfig, *props) -> SuiteReport:
+    started = time.perf_counter()
+    results = [prop(cfg) for prop in props]
+    return SuiteReport(suite, cfg.seed, results, wall_time=time.perf_counter() - started)
+
+
 # ---------------------------------------------------------------------------
 # split suite
 
 
 def prop_split_golden_structure(cfg: SuiteConfig) -> PropertyResult:
-    rec = _Recorder("split_golden_structure")
+    rec = _Recorder("split_golden_structure", cfg)
 
     for deg in (2, 3):
+        rec.trial(f"golden bridge split, heavy degree {deg}")
         q = bridge_quiver(deg)
         t = split_arrow(q, "b")
         first = t.after.arrow(t.first)
@@ -233,11 +261,11 @@ def prop_split_golden_structure(cfg: SuiteConfig) -> PropertyResult:
             and not validate(t.after)
             and weight_discrepancy(t.after) == weight_discrepancy(q) - 1
         )
-        rec.record(ok, lambda q=q, deg=deg: _counterexample(
-            f"golden bridge split, heavy degree {deg}", [], q))
+        if not ok:
+            rec.fail([], q)
 
-    q = heavy_loop_quiver(3)
-    res = regrade(q, IdealPresentation.of([]))
+    rec.trial("golden heavy loop regrade")
+    res = regrade(heavy_loop_quiver(3), IdealPresentation.of([]))
     final = res.final_quiver
     ok = (
         len(res.trace) == 2
@@ -247,59 +275,46 @@ def prop_split_golden_structure(cfg: SuiteConfig) -> PropertyResult:
         and not validate(final)
         and weight_discrepancy(final) == 0
     )
-    rec.record(ok, lambda: _counterexample(
-        "golden heavy loop regrade", [], final))
+    if not ok:
+        rec.fail([], final)
 
-    q, ideal = kxy_presentation()
-    res = regrade(q, ideal)
-    want_q, want_i = kxy_split_presentation()
-    ok = res.final_quiver == want_q and res.final_ideal == want_i
-    rec.record(ok, lambda: _counterexample(
-        "golden commuting-loops regrade", ["got:"] + _presentation_lines(
-            res.final_quiver, res.final_ideal)))
+    rec.trial("golden commuting-loops regrade")
+    res = regrade(*kxy_presentation())
+    if (res.final_quiver, res.final_ideal) != kxy_split_presentation():
+        rec.fail(["got:"] + _presentation_lines(res.final_quiver, res.final_ideal))
 
     return rec.result()
 
 
 def prop_rewrite_golden(cfg: SuiteConfig) -> PropertyResult:
-    rec = _Recorder("rewrite_golden")
+    rec = _Recorder("rewrite_golden", cfg)
     q = bridge_quiver(2)
     t = split_arrow(q, "b")
 
+    rec.trial("golden rewrite of a*a*b*d")
     p = path_from_arrows(q, ["a", "a", "b", "d"])
     got = rewrite_path(t, p)
-    rec.record(
-        got.arrows == ("a", "a", "b'", "b''", "d") and got.degree == p.degree,
-        lambda: _counterexample("golden rewrite of a*a*b*d", [f"got {got}"], q),
-    )
+    if got.arrows != ("a", "a", "b'", "b''", "d") or got.degree != p.degree:
+        rec.fail([f"got {got}"], q)
 
+    rec.trial("golden rewrite of a*c*d")
     p = path_from_arrows(q, ["a", "c", "d"])
     got = rewrite_path(t, p)
-    rec.record(
-        got == p,
-        lambda: _counterexample("golden rewrite of a*c*d", [f"got {got}"], q),
-    )
+    if got != p:
+        rec.fail([f"got {got}"], q)
 
+    rec.trial("golden rewrite of the commuting-loops relation")
     q, ideal = kxy_presentation()
-    t = split_arrow(q, "y")
-    got_ideal = rewrite_ideal(t, ideal)
+    got_ideal = rewrite_ideal(split_arrow(q, "y"), ideal)
     _, want = kxy_split_presentation()
-    rec.record(
-        got_ideal == want,
-        lambda: _counterexample(
-            "golden rewrite of the commuting-loops relation",
-            [f"got {gen}" for gen in got_ideal],
-            q,
-            ideal,
-        ),
-    )
+    if got_ideal != want:
+        rec.fail([f"got {gen}" for gen in got_ideal], q, ideal)
     return rec.result()
 
 
 def prop_discrepancy_decrement(cfg: SuiteConfig) -> PropertyResult:
-    rec = _Recorder("discrepancy_decrement")
-    for trial in range(cfg.trials):
-        rng = rng_for(cfg.seed, "discrepancy_decrement", trial)
+    rec = _Recorder("discrepancy_decrement", cfg)
+    for rng in rec.seeded():
         q = random_quiver(rng, require_heavy=True)
         name = pick_split_target(q)
         assert name is not None
@@ -318,21 +333,18 @@ def prop_discrepancy_decrement(cfg: SuiteConfig) -> PropertyResult:
             and second.target == b.target
             and first.target == second.source == t.new_vertex
         )
-        rec.record(ok, lambda q=q, name=name, trial=trial: _counterexample(
-            f"seed={cfg.seed} property=discrepancy_decrement trial={trial}",
-            [f"split arrow: {name}"], q))
+        if not ok:
+            rec.fail([f"split arrow: {name}"], q)
     return rec.result()
 
 
 def prop_rewrite_preserves_shape(cfg: SuiteConfig) -> PropertyResult:
-    rec = _Recorder("rewrite_preserves_shape")
-    for trial in range(cfg.trials):
-        rng = rng_for(cfg.seed, "rewrite_preserves_shape", trial)
+    rec = _Recorder("rewrite_preserves_shape", cfg)
+    for rng in rec.seeded():
         q = random_quiver(rng, require_heavy=True)
         t = split_arrow(q, pick_split_target(q))
         gen = random_relation(rng, q)
         if gen is None:
-            rec.record(True)
             continue
         out = rewrite_sum(t, gen)
         coeffs = sorted(c for _, c in gen.sum.terms)
@@ -343,21 +355,18 @@ def prop_rewrite_preserves_shape(cfg: SuiteConfig) -> PropertyResult:
             and len(out.sum.terms) == len(gen.sum.terms)
             and coeffs == out_coeffs
         )
-        rec.record(ok, lambda q=q, gen=gen, trial=trial: _counterexample(
-            f"seed={cfg.seed} property=rewrite_preserves_shape trial={trial}",
-            [f"relation: {gen}"], q))
+        if not ok:
+            rec.fail([f"relation: {gen}"], q)
     return rec.result()
 
 
 def prop_rewrite_multiplicative(cfg: SuiteConfig) -> PropertyResult:
-    rec = _Recorder("rewrite_multiplicative")
-    for trial in range(cfg.trials):
-        rng = rng_for(cfg.seed, "rewrite_multiplicative", trial)
+    rec = _Recorder("rewrite_multiplicative", cfg)
+    for rng in rec.seeded():
         q = random_quiver(rng, require_heavy=True)
         t = split_arrow(q, pick_split_target(q))
         pair = random_composable_pair(rng, q)
         if pair is None:
-            rec.record(True)
             continue
         x, y = pair
         prod = multiply_sums(x.sum, y.sum)
@@ -376,16 +385,14 @@ def prop_rewrite_multiplicative(cfg: SuiteConfig) -> PropertyResult:
                 x.sum.map_paths(lambda p: rewrite_path(t, p)), ew
             )
             ok = zero_before.is_zero() and zero_after.is_zero()
-        rec.record(ok, lambda q=q, x=x, y=y, trial=trial: _counterexample(
-            f"seed={cfg.seed} property=rewrite_multiplicative trial={trial}",
-            [f"left: {x}", f"right: {y}"], q))
+        if not ok:
+            rec.fail([f"left: {x}", f"right: {y}"], q)
     return rec.result()
 
 
 def prop_regrade_terminates(cfg: SuiteConfig) -> PropertyResult:
-    rec = _Recorder("regrade_terminates")
-    for trial in range(cfg.trials):
-        rng = rng_for(cfg.seed, "regrade_terminates", trial)
+    rec = _Recorder("regrade_terminates", cfg)
+    for rng in rec.seeded():
         q = random_quiver(rng)
         ideal = random_ideal(rng, q)
         res = regrade(q, ideal)
@@ -405,24 +412,16 @@ def prop_regrade_terminates(cfg: SuiteConfig) -> PropertyResult:
             and again.final_quiver == final
             and again.final_ideal == res.final_ideal
         )
-        rec.record(ok, lambda q=q, ideal=ideal, trial=trial: _counterexample(
-            f"seed={cfg.seed} property=regrade_terminates trial={trial}",
-            [], q, ideal))
+        if not ok:
+            rec.fail([], q, ideal)
     return rec.result()
 
 
 def run_split_suite(cfg: SuiteConfig) -> SuiteReport:
-    started = time.perf_counter()
-    results = [
-        prop_split_golden_structure(cfg),
-        prop_rewrite_golden(cfg),
-        prop_discrepancy_decrement(cfg),
-        prop_rewrite_preserves_shape(cfg),
-        prop_rewrite_multiplicative(cfg),
-        prop_regrade_terminates(cfg),
-    ]
-    return SuiteReport(
-        "split", cfg.seed, results, wall_time=time.perf_counter() - started
+    return _run(
+        "split", cfg, prop_split_golden_structure, prop_rewrite_golden,
+        prop_discrepancy_decrement, prop_rewrite_preserves_shape,
+        prop_rewrite_multiplicative, prop_regrade_terminates,
     )
 
 
@@ -437,48 +436,39 @@ def _random_split_setup(rng):
 
 
 def prop_collapse_expand_identity(cfg: SuiteConfig) -> PropertyResult:
-    rec = _Recorder("collapse_expand_identity")
-    for trial in range(cfg.trials):
-        rng = rng_for(cfg.seed, "collapse_expand_identity", trial)
+    rec = _Recorder("collapse_expand_identity", cfg)
+    for rng in rec.seeded():
         q, t = _random_split_setup(rng)
         m = random_rep(rng, q, cfg.window, cfg.field, cfg.max_dim)
-        back = collapse_rep(t, expand_rep(t, m))
-        rec.record(back == m, lambda q=q, t=t, trial=trial: _counterexample(
-            f"seed={cfg.seed} property=collapse_expand_identity trial={trial}",
-            [f"split arrow: {t.split_arrow}"], q))
+        if collapse_rep(t, expand_rep(t, m)) != m:
+            rec.fail([f"split arrow: {t.split_arrow}"], q)
     return rec.result()
 
 
 def prop_golden_commuting_loops(cfg: SuiteConfig) -> PropertyResult:
-    rec = _Recorder("golden_commuting_loops")
+    rec = _Recorder("golden_commuting_loops", cfg)
     q, ideal = kxy_presentation()
     res = regrade(q, ideal)
-    trials = min(cfg.trials, 25)
-    for trial in range(trials):
-        rng = rng_for(cfg.seed, "golden_commuting_loops", trial)
+    for rng in rec.seeded(min(cfg.trials, 25)):
         dim = rng.randint(0, cfg.max_dim)
         m = kxy_diagonal_rep(cfg.window, cfg.field, dim, rng)
         ok_m, _ = satisfies(m, ideal)
         n = expand_rep_along(res.trace, m)
         ok_n, bad = satisfies(n, res.final_ideal)
         back = collapse_rep_along(res.trace, n)
-        ok = ok_m and ok_n and back == m
-        rec.record(ok, lambda bad=bad, trial=trial: _counterexample(
-            f"seed={cfg.seed} property=golden_commuting_loops trial={trial}",
-            [f"violations: {bad}"], q, ideal))
+        if not (ok_m and ok_n and back == m):
+            rec.fail([f"violations: {bad}"], q, ideal)
     return rec.result()
 
 
 def prop_relation_transport(cfg: SuiteConfig) -> PropertyResult:
-    rec = _Recorder("relation_transport")
-    for trial in range(cfg.trials):
-        rng = rng_for(cfg.seed, "relation_transport", trial)
+    rec = _Recorder("relation_transport", cfg)
+    for rng in rec.seeded():
         q, t = _random_split_setup(rng)
         ideal = random_ideal(rng, q)
         moved = rewrite_ideal(t, ideal)
         m = random_rep(rng, q, cfg.window, cfg.field, cfg.max_dim)
         fm = expand_rep(t, m)
-        ok = True
         detail = []
         for gen, gen2 in zip(ideal, moved):
             for d in cfg.window.degrees():
@@ -489,33 +479,25 @@ def prop_relation_transport(cfg: SuiteConfig) -> PropertyResult:
                 try:
                     rhs = evaluate_relation(fm, gen2, d)
                 except WindowOverflowError:
-                    ok = False
                     detail = [f"transported relation not evaluable at degree {d}"]
                     break
                 if lhs != rhs:
-                    ok = False
                     detail = [f"evaluations differ at degree {d} for {gen}"]
                     break
-            if not ok:
+            if detail:
+                rec.fail(detail, q, ideal)
                 break
-        rec.record(ok, lambda q=q, ideal=ideal, detail=detail, trial=trial: _counterexample(
-            f"seed={cfg.seed} property=relation_transport trial={trial}",
-            detail, q, ideal))
     return rec.result()
 
 
 def prop_shift_compatibility(cfg: SuiteConfig) -> PropertyResult:
-    rec = _Recorder("shift_compatibility")
-    for trial in range(cfg.trials):
-        rng = rng_for(cfg.seed, "shift_compatibility", trial)
+    rec = _Recorder("shift_compatibility", cfg)
+    for rng in rec.seeded():
         q, t = _random_split_setup(rng)
         m = random_rep(rng, q, cfg.window, cfg.field, cfg.max_dim)
         n = rng.randint(-2, 2)
-        lhs = expand_rep(t, shift(m, n))
-        rhs = shift(expand_rep(t, m), n)
-        rec.record(lhs == rhs, lambda q=q, n=n, trial=trial: _counterexample(
-            f"seed={cfg.seed} property=shift_compatibility trial={trial}",
-            [f"shift: {n}"], q))
+        if expand_rep(t, shift(m, n)) != shift(expand_rep(t, m), n):
+            rec.fail([f"shift: {n}"], q)
     return rec.result()
 
 
@@ -537,31 +519,25 @@ def _exactness_defects(incl: GradedMorphism, proj: GradedMorphism) -> list[str]:
 
 
 def prop_expansion_exactness(cfg: SuiteConfig) -> PropertyResult:
-    rec = _Recorder("expansion_exactness")
-    for trial in range(cfg.trials):
-        rng = rng_for(cfg.seed, "expansion_exactness", trial)
+    rec = _Recorder("expansion_exactness", cfg)
+    for rng in rec.seeded():
         q, t = _random_split_setup(rng)
         a = random_rep(rng, q, cfg.window, cfg.field, cfg.max_dim)
         b = random_rep(rng, q, cfg.window, cfg.field, cfg.max_dim)
         phi = random_morphism(rng, a, b)
-        kernel, incl = morphism_kernel(phi)
+        _, incl = morphism_kernel(phi)
         _, proj = morphism_cokernel(incl)
-        base_defects = _exactness_defects(incl, proj)
-        moved_defects = _exactness_defects(
+        defects = _exactness_defects(incl, proj) + _exactness_defects(
             expand_morphism(t, incl), expand_morphism(t, proj)
         )
-        ok = not base_defects and not moved_defects
-        rec.record(ok, lambda q=q, d=base_defects + moved_defects, trial=trial:
-                   _counterexample(
-                       f"seed={cfg.seed} property=expansion_exactness trial={trial}",
-                       d[:3], q))
+        if defects:
+            rec.fail(defects[:3], q)
     return rec.result()
 
 
 def prop_counit_support(cfg: SuiteConfig) -> PropertyResult:
-    rec = _Recorder("counit_support")
-    for trial in range(cfg.trials):
-        rng = rng_for(cfg.seed, "counit_support", trial)
+    rec = _Recorder("counit_support", cfg)
+    for rng in rec.seeded():
         q, t = _random_split_setup(rng)
         n = random_rep(rng, t.after, cfg.window, cfg.field, cfg.max_dim)
         eps = counit(t, n)
@@ -576,7 +552,6 @@ def prop_counit_support(cfg: SuiteConfig) -> PropertyResult:
         acts = all(m.is_zero() for m in kernel.mats.values()) and all(
             m.is_zero() for m in coker.mats.values()
         )
-        ok = not stray and acts
 
         m = random_rep(rng, q, cfg.window, cfg.field, cfg.max_dim)
         eps2 = counit(t, expand_rep(t, m))
@@ -584,18 +559,14 @@ def prop_counit_support(cfg: SuiteConfig) -> PropertyResult:
         coker2, _ = morphism_cokernel(eps2)
         iso = not any(kernel2.dims.values()) and not any(coker2.dims.values())
 
-        rec.record(ok and iso, lambda q=q, t=t, stray=stray, iso=iso, trial=trial:
-                   _counterexample(
-                       f"seed={cfg.seed} property=counit_support trial={trial}",
-                       [f"support off fresh vertex: {stray}", f"round-trip iso: {iso}"],
-                       q))
+        if stray or not acts or not iso:
+            rec.fail([f"support off fresh vertex: {stray}", f"round-trip iso: {iso}"], q)
     return rec.result()
 
 
 def prop_counit_naturality(cfg: SuiteConfig) -> PropertyResult:
-    rec = _Recorder("counit_naturality")
-    for trial in range(cfg.trials):
-        rng = rng_for(cfg.seed, "counit_naturality", trial)
+    rec = _Recorder("counit_naturality", cfg)
+    for rng in rec.seeded():
         q, t = _random_split_setup(rng)
         n1 = random_rep(rng, t.after, cfg.window, cfg.field, cfg.max_dim)
         n2 = random_rep(rng, t.after, cfg.window, cfg.field, cfg.max_dim)
@@ -606,25 +577,16 @@ def prop_counit_naturality(cfg: SuiteConfig) -> PropertyResult:
         rhs = compose_morphisms(psi, counit(t, n1))
         shared = set(lhs.blocks) & set(rhs.blocks)
         bad = [slot for slot in sorted(shared) if lhs.blocks[slot] != rhs.blocks[slot]]
-        rec.record(not bad, lambda q=q, bad=bad, trial=trial: _counterexample(
-            f"seed={cfg.seed} property=counit_naturality trial={trial}",
-            [f"square fails at: {bad[:4]}"], q))
+        if bad:
+            rec.fail([f"square fails at: {bad[:4]}"], q)
     return rec.result()
 
 
 def run_functor_suite(cfg: SuiteConfig) -> SuiteReport:
-    started = time.perf_counter()
-    results = [
-        prop_collapse_expand_identity(cfg),
-        prop_golden_commuting_loops(cfg),
-        prop_relation_transport(cfg),
-        prop_shift_compatibility(cfg),
-        prop_expansion_exactness(cfg),
-        prop_counit_support(cfg),
-        prop_counit_naturality(cfg),
-    ]
-    return SuiteReport(
-        "functor", cfg.seed, results, wall_time=time.perf_counter() - started
+    return _run(
+        "functor", cfg, prop_collapse_expand_identity, prop_golden_commuting_loops,
+        prop_relation_transport, prop_shift_compatibility, prop_expansion_exactness,
+        prop_counit_support, prop_counit_naturality,
     )
 
 
@@ -634,9 +596,8 @@ def run_functor_suite(cfg: SuiteConfig) -> SuiteReport:
 
 def prop_expansion_dims(cfg: SuiteConfig) -> PropertyResult:
     """Definitional dimension bookkeeping of the transport across a split."""
-    rec = _Recorder("expansion_dims")
-    for trial in range(cfg.trials):
-        rng = rng_for(cfg.seed, "expansion_dims", trial)
+    rec = _Recorder("expansion_dims", cfg)
+    for rng in rec.seeded():
         q, t = _random_split_setup(rng)
         m = random_rep(rng, q, cfg.window, cfg.field, cfg.max_dim)
         fm = expand_rep(t, m)
@@ -651,36 +612,31 @@ def prop_expansion_dims(cfg: SuiteConfig) -> PropertyResult:
             ok = ok and (v, d) in fm.dims
             if v == src and cfg.window.contains(d + 1):
                 ok = ok and (t.new_vertex, d + 1) in fm.dims
-        rec.record(ok, lambda q=q, t=t, trial=trial: _counterexample(
-            f"seed={cfg.seed} property=expansion_dims trial={trial}",
-            [f"split arrow: {t.split_arrow}"], q))
+        if not ok:
+            rec.fail([f"split arrow: {t.split_arrow}"], q)
     return rec.result()
 
 
 def prop_golden_two_loop_table(cfg: SuiteConfig) -> PropertyResult:
-    rec = _Recorder("golden_two_loop_table")
+    rec = _Recorder("golden_two_loop_table", cfg)
     q, ideal = kxy_presentation()
     top = cfg.max_degree
     tables = zip(hilbert_table(q, ideal, top), hilbert_table(q, ideal, top, field=cfg.field))
     for row, row_p in tables:
         d, got, got_p = row.degree, row.dim, row_p.dim
+        rec.trial(f"golden two-loop table, degree {d}")
         want = d // 2 + 1
         # the second-opinion routine is slow over the rationals; keep its
         # share of the table small here (the acceptance gate runs it wider)
         got_naive = graded_dim_naive(q, ideal, d) if d <= 6 else want
-        ok = got == want and got_naive == want and got_p == want
-        rec.record(ok, lambda d=d, got=got, got_naive=got_naive, got_p=got_p:
-                   _counterexample(
-                       f"golden two-loop table, degree {d}",
-                       [f"want {d // 2 + 1}, got {got} / naive {got_naive} / mod-p {got_p}"],
-                       q, ideal))
+        if not (got == want and got_naive == want and got_p == want):
+            rec.fail([f"want {want}, got {got} / naive {got_naive} / mod-p {got_p}"], q, ideal)
     return rec.result()
 
 
 def prop_split_table_agreement(cfg: SuiteConfig) -> PropertyResult:
-    rec = _Recorder("split_table_agreement")
-    base_q, base_i = kxy_presentation()
-    res = regrade(base_q, base_i)
+    rec = _Recorder("split_table_agreement", cfg)
+    res = regrade(*kxy_presentation())
     q, ideal = res.final_quiver, res.final_ideal
     top = cfg.max_degree
     tables = zip(
@@ -691,43 +647,34 @@ def prop_split_table_agreement(cfg: SuiteConfig) -> PropertyResult:
     )
     for total_row, modp_row, corner_row, *vertex_rows in tables:
         d, total, modp, corner = total_row.degree, total_row.dim, modp_row.dim, corner_row.dim
+        rec.trial(f"split table agreement, degree {d}")
         by_vertex = sum(row.dim for row in vertex_rows)
         corner_naive = graded_dim_naive(q, ideal, d, vertex="v") if d <= 8 else corner
-        ok = total == by_vertex and total == modp and corner == corner_naive
-        rec.record(ok, lambda d=d, total=total, modp=modp, by_vertex=by_vertex,
-                   corner=corner, corner_naive=corner_naive:
-                   _counterexample(
-                       f"split table agreement, degree {d}",
-                       [f"primary {total}, mod-p {modp}, by-vertex sum {by_vertex}, "
-                        f"corner {corner} vs naive {corner_naive}"],
-                       q, ideal))
+        if not (total == by_vertex and total == modp and corner == corner_naive):
+            rec.fail([f"primary {total}, mod-p {modp}, by-vertex sum {by_vertex}, "
+                      f"corner {corner} vs naive {corner_naive}"], q, ideal)
     return rec.result()
 
 
 def prop_free_algebra_counts(cfg: SuiteConfig) -> PropertyResult:
-    rec = _Recorder("free_algebra_counts")
+    rec = _Recorder("free_algebra_counts", cfg)
     empty = IdealPresentation.of([])
-    for trial in range(cfg.trials):
-        rng = rng_for(cfg.seed, "free_algebra_counts", trial)
+    for rng in rec.seeded():
         q = random_quiver(rng, max_vertices=3, max_arrows=3)
         d = rng.randint(0, 4)
         try:
             paths = enumerate_paths(q, d, limit=200)
             got = graded_dim(q, empty, d, max_paths=200)
         except PathCountLimit:
-            rec.record(True)
             continue
-        rec.record(got == len(paths), lambda q=q, d=d, got=got, paths=paths:
-                   _counterexample(
-                       f"seed={cfg.seed} property=free_algebra_counts trial={trial}",
-                       [f"degree {d}: {got} != path count {len(paths)}"], q))
+        if got != len(paths):
+            rec.fail([f"degree {d}: {got} != path count {len(paths)}"], q)
     return rec.result()
 
 
 def prop_random_agreement(cfg: SuiteConfig) -> PropertyResult:
-    rec = _Recorder("random_agreement")
-    for trial in range(cfg.trials):
-        rng = rng_for(cfg.seed, "random_agreement", trial)
+    rec = _Recorder("random_agreement", cfg)
+    for rng in rec.seeded():
         q = random_quiver(rng, max_vertices=3, max_arrows=3)
         gen = random_relation(rng, q, max_degree=3)
         ideal = IdealPresentation.of([gen] if gen is not None else [])
@@ -738,30 +685,18 @@ def prop_random_agreement(cfg: SuiteConfig) -> PropertyResult:
             modp = graded_dim(q, ideal, d, field=cfg.field, max_paths=200)
             count = len(enumerate_paths(q, d, limit=200))
         except PathCountLimit:
-            rec.record(True)
             continue
         if modp != primary:
             rec.warn()
-        ok = primary == second and 0 <= primary <= count
-        rec.record(ok, lambda q=q, ideal=ideal, d=d, primary=primary, second=second:
-                   _counterexample(
-                       f"seed={cfg.seed} property=random_agreement trial={trial}",
-                       [f"degree {d}: primary {primary}, naive {second}"],
-                       q, ideal))
+        if not (primary == second and 0 <= primary <= count):
+            rec.fail([f"degree {d}: primary {primary}, naive {second}"], q, ideal)
     return rec.result()
 
 
 def run_hilbert_suite(cfg: SuiteConfig) -> SuiteReport:
-    started = time.perf_counter()
-    results = [
-        prop_expansion_dims(cfg),
-        prop_golden_two_loop_table(cfg),
-        prop_split_table_agreement(cfg),
-        prop_free_algebra_counts(cfg),
-        prop_random_agreement(cfg),
-    ]
-    return SuiteReport(
-        "hilbert", cfg.seed, results, wall_time=time.perf_counter() - started
+    return _run(
+        "hilbert", cfg, prop_expansion_dims, prop_golden_two_loop_table,
+        prop_split_table_agreement, prop_free_algebra_counts, prop_random_agreement,
     )
 
 

@@ -100,6 +100,12 @@ class TestRegrade:
         assert "# regrade: 1 split" in text
         assert "arrow y' v z 1" in text
 
+    def test_unwritable_output(self, kxy_file, tmp_path, capsys):
+        out_path = tmp_path / "missing" / "out"
+        assert main(["regrade", kxy_file, "-o", str(out_path)]) == 1
+        assert capsys.readouterr().err.startswith(f"cannot write {out_path}: ")
+        assert not out_path.exists()
+
     def test_roundtrips_through_parser(self, kxy_file, capsys):
         from quiver_regrade import parse_presentation, weight_discrepancy
 
@@ -146,6 +152,20 @@ def _hilbert_table(argv, capsys) -> list[tuple[int, int]]:
 
 
 class TestHilbert:
+    def test_coefficient_the_field_cannot_hold(self, tmp_path, capsys):
+        p = tmp_path / "frac.quiver"
+        p.write_text("[quiver]\nvertex v\narrow x v v 1\narrow y v v 2\n\n"
+                     "[relations]\n1/32003*x*x*x*x - y*y\n")
+        assert main(["hilbert", str(p), "--max-degree", "4"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "relation 1/32003*x*x*x*x - y*y: denominator of 1/32003 vanishes mod 32003; "
+            "use --field q or another prime\n"
+        )
+        assert main(["hilbert", str(p), "--max-degree", "4", "--field", "p7"]) == 0
+        assert capsys.readouterr().out == "0 1\n1 1\n2 2\n3 3\n4 4\n"
+
     def test_table(self, kxy_file, capsys):
         assert main(["hilbert", kxy_file, "--max-degree", "6"]) == 0
         out = capsys.readouterr().out

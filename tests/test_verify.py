@@ -189,3 +189,37 @@ class TestFailureReport:
             "collapse_expand_identity", "golden_two_loop_table",
             "split_table_agreement", "random_agreement",
         ]
+
+
+class TestStreamContract:
+    """A replay line `seed=S property=P trial=T` names the stream
+    rng_for(S, P, T) that the body of verify.prop_P draws from."""
+
+    def _streams(self, monkeypatch, run):
+        calls = []
+        real = verify.rng_for
+
+        def spy(*parts):
+            calls.append(parts)
+            return real(*parts)
+
+        monkeypatch.setattr(verify, "rng_for", spy)
+        return run(), calls
+
+    def test_one_stream_per_trial(self, monkeypatch):
+        cfg = SuiteConfig(seed=4, trials=3, max_degree=4)
+        reports, calls = self._streams(
+            monkeypatch, lambda: run_suites(verify.SUITE_NAMES, cfg))
+        drawn = {name for _, name, _ in calls}
+        results = [r for rep in reports for r in rep.results if r.name in drawn]
+        assert len(results) == 14
+        assert calls == [(4, r.name, t) for r in results for t in range(r.trials)]
+        for r in results:
+            assert r.trials == 3
+            assert callable(getattr(verify, f"prop_{r.name}"))
+
+    def test_golden_commuting_loops_caps_its_streams(self, monkeypatch):
+        result, calls = self._streams(
+            monkeypatch, lambda: verify.prop_golden_commuting_loops(SuiteConfig(seed=2, trials=30)))
+        assert result.trials == 25
+        assert calls == [(2, "golden_commuting_loops", t) for t in range(25)]
