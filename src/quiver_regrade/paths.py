@@ -124,7 +124,12 @@ class PathSum:
             return self
         if self.field != QQ:
             raise ValueError("coefficient conversion is only supported out of the rationals")
-        return PathSum.make(field, [(p, field.from_fraction(c)) for p, c in self.terms])
+        # the paths stay sorted and distinct; only the coefficients that
+        # vanish in ``field`` drop out
+        conv, is_zero = field.from_fraction, field.is_zero
+        return PathSum(field, tuple(
+            (p, c) for p, c in ((p, conv(c)) for p, c in self.terms) if not is_zero(c)
+        ))
 
     def _check_field(self, other: "PathSum"):
         if self.field != other.field:
