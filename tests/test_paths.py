@@ -226,6 +226,13 @@ class TestPathSum:
         t = s.to_field(GF(7))
         ((_, coeff),) = t.terms
         assert GF(7).mul(coeff, GF(7).from_int(2)) == GF(7).one
+        # a coefficient that vanishes mod 7 drops out; the rest keep their order
+        s = PathSum.make(QQ, [(path_from_arrows(q, ["x", "y"]), Fraction(3)),
+                              (path_from_arrows(q, ["y", "x"]), Fraction(-7)),
+                              (path_from_arrows(q, ["x", "x", "x"]), Fraction(1, 3))])
+        t = s.to_field(GF(7))
+        assert t == PathSum.make(GF(7), [(p, GF(7).from_fraction(c)) for p, c in s.terms])
+        assert [p for p, _ in t.terms] == [p for p, c in s.terms if c != -7]
 
 
 class TestUniformComponents:
