@@ -3,13 +3,21 @@
 from __future__ import annotations
 
 import random
+import re
 import sys
+from dataclasses import dataclass
+from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quiver_regrade import PresentationError, parse_presentation, serialize_presentation
+from quiver_regrade import PresentationError, fileformat, parse_presentation, serialize_presentation
+from quiver_regrade.fields import QQ
+from quiver_regrade.fileformat import Diagnostic
+from quiver_regrade.paths import Path, PathSum, multiply_paths, trivial_path
+from quiver_regrade.quiver import WeightedQuiver
 from quiver_regrade.catalog import kxy_presentation, kxy_split_presentation
 from quiver_regrade.randomgen import random_ideal, random_quiver, rng_for
 
@@ -254,3 +262,215 @@ def test_parse_raises_only_presentation_error(text):
         parse_presentation(text)
     except PresentationError as exc:
         assert exc.diagnostics
+
+
+# line 7 of this presentation is the relation under test
+EXPRESSION_QUIVER = "[quiver]\nvertex u\nvertex v\narrow x v v 1\narrow y v v 1\n[relations]\n"
+
+
+@pytest.mark.parametrize(
+    "relation, col, message",
+    [
+        ("x*y - y$x", 8, "unexpected character '$'"),
+        # the whole line is scanned first, so this wins over the earlier 'x x'
+        ("x x - y$", 8, "unexpected character '$'"),
+        ("x*y y", 5, "expected '+' or '-', got 'y'"),
+        ("x 2*y", 3, "expected '+' or '-', got '2'"),
+        ("x*y -", 5, "dangling operator at end of expression"),
+        ("-", 1, "dangling operator at end of expression"),
+        ("x*y*", 4, "dangling '*' at end of expression"),
+        ("2*", 2, "dangling '*' at end of expression"),
+        ("2 x", 3, "a coefficient must be followed by '*' and a path"),
+        ("x - 2", 5, "a coefficient must be followed by '*' and a path"),
+        ("x*+y", 3, "expected an arrow or trivial path, got '+'"),
+        ("+x", 1, "expected an arrow or trivial path, got '+'"),
+        ("x - -y", 5, "expected an arrow or trivial path, got '-'"),
+        ("2*3*x", 3, "expected an arrow or trivial path, got '3'"),
+        ("x*q", 3, "unknown arrow or trivial path 'q'"),
+        ("y - 2*e_w*x", 7, "unknown arrow or trivial path 'e_w'"),
+    ],
+)
+def test_expression_diagnostic_positions(relation, col, message):
+    (d,) = diagnostics_of(EXPRESSION_QUIVER + relation + "\n")
+    assert (d.line, d.col, d.message) == (7, col, message)
+
+
+# The expression parser as it was before the one-pass scanner: a character
+# loop and a peek/advance term parser, kept as the reference the parser in
+# ``fileformat`` must agree with, diagnostic for diagnostic.
+_REFERENCE_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
+_REFERENCE_NUMBER = re.compile(r"[0-9]+(/[0-9]+)?")
+
+
+@dataclass(frozen=True)
+class _ReferenceToken:
+    kind: str  # ident | number | op
+    text: str
+    col: int
+
+
+def _reference_tokenize(text: str, line: int) -> list[_ReferenceToken]:
+    tokens: list[_ReferenceToken] = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        m = _REFERENCE_IDENT.match(text, i)
+        if m:
+            tokens.append(_ReferenceToken("ident", m.group(), i + 1))
+            i = m.end()
+            continue
+        m = _REFERENCE_NUMBER.match(text, i)
+        if m:
+            tokens.append(_ReferenceToken("number", m.group(), i + 1))
+            i = m.end()
+            continue
+        if ch in "+-*":
+            tokens.append(_ReferenceToken("op", ch, i + 1))
+            i += 1
+            continue
+        raise PresentationError([Diagnostic(line, i + 1, f"unexpected character {ch!r}")])
+    return tokens
+
+
+def _reference_atom(tok: _ReferenceToken, q: WeightedQuiver, line: int) -> Path:
+    name = tok.text
+    if name in q.arrow_map:
+        a = q.arrow_map[name]
+        return Path(a.source, a.target, a.degree, (name,))
+    if name.startswith("e_") and q.has_vertex(name[2:]):
+        return trivial_path(name[2:])
+    raise PresentationError(
+        [Diagnostic(line, tok.col, f"unknown arrow or trivial path {name!r}")]
+    )
+
+
+def _reference_parse_expression(text: str, line: int, q: WeightedQuiver) -> PathSum:
+    tokens = _reference_tokenize(text, line)
+    if not tokens:
+        raise PresentationError([Diagnostic(line, 1, "empty expression")])
+    pos = 0
+
+    def peek() -> _ReferenceToken | None:
+        return tokens[pos] if pos < len(tokens) else None
+
+    def fail(col: int, message: str):
+        raise PresentationError([Diagnostic(line, col, message)])
+
+    terms: list[tuple[Path, Fraction, int]] = []  # (path, signed coeff, start col)
+    sign = Fraction(1)
+    first = True
+    while True:
+        tok = peek()
+        if tok is None:
+            if first:
+                fail(1, "empty expression")
+            break
+        if not first:
+            if tok.kind != "op" or tok.text not in "+-":
+                fail(tok.col, f"expected '+' or '-', got {tok.text!r}")
+            sign = Fraction(1) if tok.text == "+" else Fraction(-1)
+            pos += 1
+            tok = peek()
+            if tok is None:
+                fail(len(text), "dangling operator at end of expression")
+        elif tok.kind == "op" and tok.text == "-":
+            sign = Fraction(-1)
+            pos += 1
+            tok = peek()
+            if tok is None:
+                fail(len(text), "dangling operator at end of expression")
+        first = False
+        start_col = tok.col
+        coeff = sign
+        if tok.kind == "number":
+            try:
+                coeff = sign * Fraction(tok.text)
+            except ZeroDivisionError:
+                fail(tok.col, f"coefficient {tok.text} has a zero denominator")
+            except ValueError:  # past the interpreter's limit on integer digits
+                fail(tok.col, f"coefficient of {len(tok.text)} characters is too long")
+            pos += 1
+            tok = peek()
+            if tok is None or tok.kind != "op" or tok.text != "*":
+                col = tok.col if tok is not None else len(text)
+                fail(col, "a coefficient must be followed by '*' and a path")
+            pos += 1
+            tok = peek()
+            if tok is None:
+                fail(len(text), "dangling '*' at end of expression")
+        if tok.kind != "ident":
+            fail(tok.col, f"expected an arrow or trivial path, got {tok.text!r}")
+        path = _reference_atom(tok, q, line)
+        pos += 1
+        while True:
+            nxt = peek()
+            if nxt is None or nxt.kind != "op" or nxt.text != "*":
+                break
+            pos += 1
+            nxt = peek()
+            if nxt is None:
+                fail(len(text), "dangling '*' at end of expression")
+            if nxt.kind != "ident":
+                fail(nxt.col, f"expected an arrow or trivial path, got {nxt.text!r}")
+            factor = _reference_atom(nxt, q, line)
+            product = multiply_paths(path, factor)
+            if product is None:
+                fail(
+                    nxt.col,
+                    f"paths do not compose: previous factor ends at "
+                    f"{path.target!r}, {nxt.text!r} starts at {factor.source!r}",
+                )
+            path = product
+            pos += 1
+        terms.append((path, coeff, start_col))
+
+    degree = terms[0][0].degree
+    for path, _, col in terms[1:]:
+        if path.degree != degree:
+            fail(
+                col,
+                f"mixed degrees in one relation: this term has degree "
+                f"{path.degree}, the first has degree {degree}",
+            )
+    total = PathSum.make(QQ, [(p, c) for p, c, _ in terms])
+    if total.is_zero():
+        fail(terms[0][2], "relation is identically zero")
+    return total
+
+
+def _outcome(text):
+    try:
+        return parse_presentation(text)
+    except PresentationError as exc:
+        return exc.diagnostics
+
+
+# x is a loop at u, y' goes u -> w, v goes w -> u at degree 2; the vertex
+# names u and w are not atoms, and e_u is the only trivial path FRAGMENTS spell
+DIFFERENTIAL_QUIVER = (
+    "[quiver]\nvertex u\nvertex w\narrow x u u 1\narrow y' u w 1\narrow v w u 2\n"
+    "[relations]\nx*y'*v - 2/3*y'*v*x\n"
+)
+
+# FRAGMENTS split into operands and the glue between them, so that most lines
+# get past the scanner and reach every diagnostic of the term grammar
+OPERANDS = [f for f in FRAGMENTS if re.fullmatch(r"[A-Za-z0-9_'/]+", f) and f != "/"]
+GLUE = [f for f in FRAGMENTS if f in ("*", "+", "-", " ")]
+relation_like = st.one_of(
+    st.lists(st.sampled_from(FRAGMENTS), max_size=16).map("".join),
+    st.lists(st.tuples(st.sampled_from(OPERANDS), st.sampled_from(GLUE)), max_size=8).map(
+        lambda pairs: "".join(a + g for a, g in pairs)
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=st.lists(relation_like, min_size=1, max_size=3))
+def test_parser_agrees_with_reference(lines):
+    text = DIFFERENTIAL_QUIVER + "\n".join(lines) + "\n"
+    with mock.patch.object(fileformat, "_parse_expression", _reference_parse_expression):
+        expected = _outcome(text)
+    assert _outcome(text) == expected
