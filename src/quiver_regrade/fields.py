@@ -88,9 +88,6 @@ class Rationals:
     def format(self, a: Fraction) -> str:
         return str(a)
 
-    def parse(self, text: str) -> Fraction:
-        return Fraction(text)
-
     def __repr__(self) -> str:
         return "Rationals()"
 
@@ -151,9 +148,6 @@ class PrimeField:
         # symmetric lift keeps small negatives readable and round-trippable
         a %= self.p
         return str(a - self.p) if a > self.p // 2 else str(a)
-
-    def parse(self, text: str) -> int:
-        return self.from_fraction(Fraction(text))
 
     def __repr__(self) -> str:
         return f"PrimeField({self.p})"

@@ -62,133 +62,90 @@ class PresentationError(ValueError):
 
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
-_NUMBER = re.compile(r"[0-9]+(/[0-9]+)?")
+# one token per match: an identifier, a coefficient, an operator, or any other
+# non-space character, which the parser reports as unexpected
+_TOKEN = re.compile(
+    rf"(?P<ident>{_IDENT.pattern})|(?P<number>[0-9]+(?:/[0-9]+)?)"
+    r"|(?P<op>[-+*])|(?P<other>\S)"
+)
+
+# what is missing when a relation ends in a state other than inside a path
+_AT_END = {
+    "sign": "dangling operator at end of expression",
+    "coefficient": "a coefficient must be followed by '*' and a path",
+    "factor": "dangling '*' at end of expression",
+}
+_SIGN = {"+": Fraction(1), "-": Fraction(-1)}
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # ident | number | op
-    text: str
-    col: int
-
-
-def _tokenize_expression(text: str, line: int) -> list[_Token]:
-    tokens: list[_Token] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        m = _IDENT.match(text, i)
-        if m:
-            tokens.append(_Token("ident", m.group(), i + 1))
-            i = m.end()
-            continue
-        m = _NUMBER.match(text, i)
-        if m:
-            tokens.append(_Token("number", m.group(), i + 1))
-            i = m.end()
-            continue
-        if ch in "+-*":
-            tokens.append(_Token("op", ch, i + 1))
-            i += 1
-            continue
-        raise PresentationError([Diagnostic(line, i + 1, f"unexpected character {ch!r}")])
-    return tokens
-
-
-def _parse_atom(tok: _Token, q: WeightedQuiver, line: int) -> Path:
-    name = tok.text
+def _parse_atom(name: str, col: int, q: WeightedQuiver, line: int) -> Path:
     if name in q.arrow_map:
         a = q.arrow_map[name]
         return Path(a.source, a.target, a.degree, (name,))
     if name.startswith("e_") and q.has_vertex(name[2:]):
         return trivial_path(name[2:])
     raise PresentationError(
-        [Diagnostic(line, tok.col, f"unknown arrow or trivial path {name!r}")]
+        [Diagnostic(line, col, f"unknown arrow or trivial path {name!r}")]
     )
 
 
 def _parse_expression(text: str, line: int, q: WeightedQuiver) -> PathSum:
-    tokens = _tokenize_expression(text, line)
-    if not tokens:
-        raise PresentationError([Diagnostic(line, 1, "empty expression")])
-    pos = 0
-
-    def peek() -> _Token | None:
-        return tokens[pos] if pos < len(tokens) else None
+    """One relation: ``['-'] term (('+' | '-') term)*`` with
+    ``term = [coefficient '*'] atom ('*' atom)*``.  The whole line is scanned
+    first, so an unexpected character wins over an earlier grammar error."""
 
     def fail(col: int, message: str):
         raise PresentationError([Diagnostic(line, col, message)])
 
+    tokens = [(m.lastgroup, m.group(), m.start() + 1) for m in _TOKEN.finditer(text)]
+    for kind, tok, col in tokens:
+        if kind == "other":
+            fail(col, f"unexpected character {tok!r}")
     terms: list[tuple[Path, Fraction, int]] = []  # (path, signed coeff, start col)
-    sign = Fraction(1)
-    first = True
-    while True:
-        tok = peek()
-        if tok is None:
-            if first:
-                fail(1, "empty expression")
-            break
-        if not first:
-            if tok.kind != "op" or tok.text not in "+-":
-                fail(tok.col, f"expected '+' or '-', got {tok.text!r}")
-            sign = Fraction(1) if tok.text == "+" else Fraction(-1)
-            pos += 1
-            tok = peek()
-            if tok is None:
-                fail(len(text), "dangling operator at end of expression")
-        elif tok.kind == "op" and tok.text == "-":
-            sign = Fraction(-1)
-            pos += 1
-            tok = peek()
-            if tok is None:
-                fail(len(text), "dangling operator at end of expression")
-        first = False
-        start_col = tok.col
-        coeff = sign
-        if tok.kind == "number":
-            try:
-                coeff = sign * Fraction(tok.text)
-            except ZeroDivisionError:
-                fail(tok.col, f"coefficient {tok.text} has a zero denominator")
-            except ValueError:  # past the interpreter's limit on integer digits
-                fail(tok.col, f"coefficient of {len(tok.text)} characters is too long")
-            pos += 1
-            tok = peek()
-            if tok is None or tok.kind != "op" or tok.text != "*":
-                col = tok.col if tok is not None else len(text)
+    # states: start, sign, coefficient, factor (after a '*'), path
+    state, coeff, path = "start", _SIGN["+"], None
+    for kind, tok, col in tokens:
+        if state in ("start", "sign"):
+            start_col = col
+        if state == "path":
+            if tok == "*":
+                state = "factor"
+                continue
+            if kind != "op":
+                fail(col, f"expected '+' or '-', got {tok!r}")
+            terms.append((path, coeff, start_col))
+            state, coeff, path = "sign", _SIGN[tok], None
+        elif state == "coefficient":
+            if tok != "*":
                 fail(col, "a coefficient must be followed by '*' and a path")
-            pos += 1
-            tok = peek()
-            if tok is None:
-                fail(len(text), "dangling '*' at end of expression")
-        if tok.kind != "ident":
-            fail(tok.col, f"expected an arrow or trivial path, got {tok.text!r}")
-        path = _parse_atom(tok, q, line)
-        pos += 1
-        while True:
-            nxt = peek()
-            if nxt is None or nxt.kind != "op" or nxt.text != "*":
-                break
-            pos += 1
-            nxt = peek()
-            if nxt is None:
-                fail(len(text), "dangling '*' at end of expression")
-            if nxt.kind != "ident":
-                fail(nxt.col, f"expected an arrow or trivial path, got {nxt.text!r}")
-            factor = _parse_atom(nxt, q, line)
-            product = multiply_paths(path, factor)
-            if product is None:
-                fail(
-                    nxt.col,
-                    f"paths do not compose: previous factor ends at "
-                    f"{path.target!r}, {nxt.text!r} starts at {factor.source!r}",
-                )
-            path = product
-            pos += 1
-        terms.append((path, coeff, start_col))
+            state = "factor"
+        elif state == "start" and tok == "-":
+            state, coeff = "sign", _SIGN["-"]
+        elif kind == "number" and state != "factor":
+            try:
+                coeff *= Fraction(tok)
+            except ZeroDivisionError:
+                fail(col, f"coefficient {tok} has a zero denominator")
+            except ValueError:  # past the interpreter's limit on integer digits
+                fail(col, f"coefficient of {len(tok)} characters is too long")
+            state = "coefficient"
+        elif kind != "ident":
+            fail(col, f"expected an arrow or trivial path, got {tok!r}")
+        else:
+            factor = _parse_atom(tok, col, q, line)
+            if path is not None:
+                product = multiply_paths(path, factor)
+                if product is None:
+                    fail(
+                        col,
+                        f"paths do not compose: previous factor ends at "
+                        f"{path.target!r}, {tok!r} starts at {factor.source!r}",
+                    )
+                factor = product
+            state, path = "path", factor
+    if state != "path":
+        fail(len(text), _AT_END[state])
+    terms.append((path, coeff, start_col))
 
     degree = terms[0][0].degree
     for path, _, col in terms[1:]:

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .fields import QQ, Field, PrimeField, Scalar
 from .linalg import Echelon, Matrix
-from .paths import IdealPresentation, PathSum, UniformElement, enumerate_paths
+from .paths import IdealPresentation, Path, PathSum, UniformElement, enumerate_paths
 from .quiver import Arrow, WeightedQuiver
 from .representation import DegreeWindow, GradedMorphism, GradedRep, Slot
 
@@ -74,6 +74,23 @@ def random_quiver(
 _PATH_GUARD = 5000
 
 
+def _random_uniform(
+    rng: random.Random, paths: list[Path], max_terms: int
+) -> UniformElement | None:
+    """Up to ``max_terms`` paths from one (source, target) bucket of ``paths``,
+    with random nonzero coefficients; None when ``paths`` is empty."""
+    buckets: dict[tuple[str, str], list[Path]] = {}
+    for p in paths:
+        buckets.setdefault((p.source, p.target), []).append(p)
+    if not buckets:
+        return None
+    group = buckets[rng.choice(sorted(buckets))]
+    chosen = rng.sample(group, rng.randint(1, min(max_terms, len(group))))
+    return UniformElement.from_sum(
+        PathSum.make(QQ, [(p, random_scalar(rng, QQ, nonzero=True)) for p in chosen])
+    )
+
+
 def random_relation(
     rng: random.Random, q: WeightedQuiver, max_degree: int = 4
 ) -> UniformElement | None:
@@ -82,17 +99,9 @@ def random_relation(
     degrees = list(range(2, max_degree + 1))
     rng.shuffle(degrees)
     for degree in degrees:
-        paths = enumerate_paths(q, degree, limit=_PATH_GUARD)
-        buckets: dict[tuple[str, str], list] = {}
-        for p in paths:
-            buckets.setdefault((p.source, p.target), []).append(p)
-        if not buckets:
-            continue
-        group = buckets[rng.choice(sorted(buckets))]
-        count = rng.randint(1, min(3, len(group)))
-        chosen = rng.sample(group, count)
-        terms = [(p, random_scalar(rng, QQ, nonzero=True)) for p in chosen]
-        return UniformElement.from_sum(PathSum.make(QQ, terms))
+        gen = _random_uniform(rng, enumerate_paths(q, degree, limit=_PATH_GUARD), 3)
+        if gen is not None:
+            return gen
     return None
 
 
@@ -113,30 +122,13 @@ def random_composable_pair(
     """Two uniform elements with matching middle vertex, for product laws."""
     d1 = rng.randint(1, max_degree)
     d2 = rng.randint(1, max_degree)
-    left_paths = enumerate_paths(q, d1, limit=_PATH_GUARD)
-    if not left_paths:
+    left = _random_uniform(rng, enumerate_paths(q, d1, limit=_PATH_GUARD), 2)
+    if left is None:
         return None
-    buckets: dict[tuple[str, str], list] = {}
-    for p in left_paths:
-        buckets.setdefault((p.source, p.target), []).append(p)
-    key = rng.choice(sorted(buckets))
-    group = buckets[key]
-    chosen = rng.sample(group, rng.randint(1, min(2, len(group))))
-    left = UniformElement.from_sum(
-        PathSum.make(QQ, [(p, random_scalar(rng, QQ, nonzero=True)) for p in chosen])
-    )
     right_paths = enumerate_paths(q, d2, source=left.target, limit=_PATH_GUARD)
-    rbuckets: dict[tuple[str, str], list] = {}
-    for p in right_paths:
-        rbuckets.setdefault((p.source, p.target), []).append(p)
-    if not rbuckets:
+    right = _random_uniform(rng, right_paths, 2)
+    if right is None:
         return None
-    rkey = rng.choice(sorted(rbuckets))
-    rgroup = rbuckets[rkey]
-    rchosen = rng.sample(rgroup, rng.randint(1, min(2, len(rgroup))))
-    right = UniformElement.from_sum(
-        PathSum.make(QQ, [(p, random_scalar(rng, QQ, nonzero=True)) for p in rchosen])
-    )
     return left, right
 
 
