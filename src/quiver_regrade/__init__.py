@@ -83,7 +83,6 @@ from .representation import (
     expand_morphism,
     expand_rep,
     expand_rep_along,
-    identity_morphism,
     morphism_cokernel,
     morphism_kernel,
     satisfies,

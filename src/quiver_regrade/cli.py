@@ -39,8 +39,8 @@ class _UsageError(Exception):
 
 def _load(path: str) -> tuple[WeightedQuiver, IdealPresentation]:
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8-sig")
+    except (OSError, UnicodeDecodeError) as exc:
         raise _CliFailure(f"cannot read {path}: {exc}") from exc
     try:
         return parse_presentation(text)

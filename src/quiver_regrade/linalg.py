@@ -3,11 +3,11 @@
 Matrices are immutable row-major tuples of scalars.  The public
 constructors, ``Matrix(...)`` and :meth:`Matrix.from_rows`, check that every
 row has the stated length.  Results the module builds itself - of
-``mul``/``add``/``sub``/``scale``/``neg``/``rows_at``, ``zero``, ``identity``
-and the bases that :func:`nullspace` and :func:`column_space_complement`
-assemble - are well formed by construction and go through one private
-trusted constructor that skips those checks.  ``Matrix.identity`` hands
-back one shared object per field and size.
+``mul``/``add``/``sub``/``scale``/``neg``/``transpose``/``rows_at``/``cols_at``,
+``zero``, ``identity`` and the kernel bases that :func:`nullspace` assembles -
+are well formed by construction and go through one private trusted
+constructor that skips those checks.  ``Matrix.identity`` hands back one
+shared object per field and size.
 
 Elimination is done twice, by independently coded routines:
 
@@ -16,11 +16,12 @@ Elimination is done twice, by independently coded routines:
   pivot column to its monic row.  It is written only against the field
   interface, so the rationals and every prime field share it.
   :func:`rank_of_rows` feeds it sparse rows as they are generated;
-  :func:`rank`, :func:`rref`, :func:`nullspace` and
-  :func:`column_space_complement` sparsify a :class:`Matrix` and read their
-  answer off the pivot map.  A kernel basis is the identity on its free
-  columns, so a vector in the kernel is recovered from its entries there;
-  no solver for ``a X = b`` is needed.
+  :func:`rank`, :func:`rref` and :func:`nullspace` sparsify a
+  :class:`Matrix` and read their answer off the pivot map.  A kernel basis
+  is the identity on its free columns, so a vector in the kernel is
+  recovered from its entries there; no solver for ``a X = b`` is needed.
+  The same basis of the transpose, transposed, is a cokernel projection:
+  it kills the column space and is the identity on its free columns.
 * :func:`rank_naive` - a deliberately plain textbook Gaussian elimination
   with division on dense rows, used as a second opinion in verification.
   Keep it free of code shared with :class:`Echelon`.
@@ -90,6 +91,15 @@ class Matrix:
         """The submatrix formed by the rows at ``indices``, in that order."""
         e = self.entries
         return Matrix._trusted(len(indices), self.cols, tuple([e[i] for i in indices]), self.field)
+
+    def cols_at(self, indices: Sequence[int]) -> "Matrix":
+        """The submatrix formed by the columns at ``indices``, in that order."""
+        out = tuple([tuple([row[j] for j in indices]) for row in self.entries])
+        return Matrix._trusted(self.rows, len(indices), out, self.field)
+
+    def transpose(self) -> "Matrix":
+        out = tuple(zip(*self.entries)) if self.rows else ((),) * self.cols
+        return Matrix._trusted(self.cols, self.rows, out, self.field)
 
     def mul(self, other: "Matrix") -> "Matrix":
         f = self.field
@@ -269,7 +279,7 @@ def rank_naive(m: Matrix) -> int:
 
 
 # ---------------------------------------------------------------------------
-# reduced row echelon form, nullspace, complements
+# reduced row echelon form and nullspace
 
 
 def _reduced(field: Field, rows: Iterable[Sequence[Scalar]]) -> dict[int, dict[int, Scalar]]:
@@ -316,32 +326,3 @@ def _kernel_basis(m: Matrix) -> tuple[Matrix, list[int]]:
 def nullspace(m: Matrix) -> Matrix:
     """Columns form a basis of the right kernel {x : m x = 0}."""
     return _kernel_basis(m)[0]
-
-
-def column_space_complement(m: Matrix) -> tuple[Matrix, Matrix]:
-    """For the subspace im(m) of k^n, return (projection q, section e).
-
-    q: k^n -> k^c kills im(m); e: k^c -> k^n satisfies q e = id, so k^n is
-    im(m) (+) im(e) and q represents the quotient map onto k^n / im(m).
-    """
-    f = m.field
-    zero, one, neg = f.zero, f.one, f.neg
-    n = m.rows
-    ech = Echelon(f)
-    for j in range(m.cols):
-        ech.add(_sparse(f, m.column(j)))
-    ech.back_substitute()
-    red = ech.pivots
-    free = [c for c in range(n) if c not in red]
-    # column i of q is the residue of the standard basis vector e_i modulo
-    # im(m), on the free coordinates: e_i itself when i is free, and e_i minus
-    # the reduced row with pivot i when i is a pivot
-    q = tuple(
-        [
-            tuple([neg(red[i].get(c, zero)) if i in red else one if i == c else zero
-                   for i in range(n)])
-            for c in free
-        ]
-    )
-    e = tuple([tuple([one if c == i else zero for c in free]) for i in range(n)])
-    return Matrix._trusted(len(free), n, q, f), Matrix._trusted(n, len(free), e, f)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from typing import Iterable, Sequence
 
 from .fields import QQ, Field, Scalar
@@ -214,21 +215,21 @@ class IdealPresentation:
 
 
 def uniform_components(x: PathSum) -> list[UniformElement]:
-    """Split a sum by (source, target, degree) using the vertex idempotents.
+    """Split a canonical sum by (degree, source, target), in that order.
 
     The components re-sum to the input.  For a homogeneous input this is the
     idempotent refinement e_u * x * e_v and generates the same two-sided
     ideal; mixed-degree inputs are still partitioned but the ideal statement
-    only applies degreewise.
+    only applies degreewise.  ``x`` must be canonical, as ``PathSum.make``
+    leaves it: its terms then come grouped and sorted, so each bucket is a
+    canonical sum as it stands.
     """
-    f = x.field
-    buckets: dict[tuple[str, str, int], list[tuple[Path, Scalar]]] = {}
-    for p, c in x.terms:
-        buckets.setdefault((p.source, p.target, p.degree), []).append((p, c))
-    out = []
-    for key in sorted(buckets, key=lambda k: (k[2], k[0], k[1])):
-        out.append(UniformElement.from_sum(PathSum.make(f, buckets[key])))
-    return out
+    return [
+        UniformElement(PathSum(x.field, tuple(bucket)), source, target, degree)
+        for (degree, source, target), bucket in groupby(
+            x.terms, key=lambda t: (t[0].degree, t[0].source, t[0].target)
+        )
+    ]
 
 
 class PathCountLimit(RuntimeError):

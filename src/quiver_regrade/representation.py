@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .fields import Field
-from .linalg import Matrix, _kernel_basis, column_space_complement
+from .linalg import Matrix, _kernel_basis
 from .paths import IdealPresentation, Path, UniformElement
 from .quiver import WeightedQuiver
 from .regrade import SplitTrace
@@ -285,13 +285,6 @@ class GradedMorphism:
         return self.blocks.get((v, d))
 
 
-def identity_morphism(rep: GradedRep) -> GradedMorphism:
-    blocks = {
-        (v, d): Matrix.identity(rep.field, n) for (v, d), n in rep.dims.items()
-    }
-    return GradedMorphism(rep, rep, blocks)
-
-
 def compose_morphisms(outer: GradedMorphism, inner: GradedMorphism) -> GradedMorphism:
     """outer o inner; inner is applied first."""
     if inner.target != outer.source:
@@ -385,24 +378,32 @@ def morphism_kernel(phi: GradedMorphism) -> tuple[GradedRep, GradedMorphism]:
 
 
 def morphism_cokernel(phi: GradedMorphism) -> tuple[GradedRep, GradedMorphism]:
-    """Componentwise cokernel with induced arrow actions and its projection."""
+    """Componentwise cokernel with induced arrow actions and its projection.
+
+    Each projection ``q`` is the transpose of a kernel basis of the block's
+    transpose: it kills the block's image and is the identity on its free
+    coordinates.  So the induced action of an arrow is read off
+    ``q_t action`` at the source's free coordinates, with no elimination.
+    That it is well defined, ``induced q_s == q_t action``, is a commuting
+    square of the projection, which its constructor checks: a violated
+    square of ``phi`` raises :class:`MorphismSquareError` there.
+    """
     tgt = phi.target
     dims: dict[Slot, int] = {}
     proj: dict[Slot, Matrix] = {}
-    sect: dict[Slot, Matrix] = {}
+    free: dict[Slot, list[int]] = {}
     for key, block in phi.blocks.items():
-        q, e = column_space_complement(block)
-        dims[key] = q.rows
-        proj[key] = q
-        sect[key] = e
+        ker, free[key] = _kernel_basis(block.transpose())
+        dims[key] = ker.cols
+        proj[key] = ker.transpose()
     mats: dict[Slot, Matrix] = {}
     for (name, d), action in tgt.mats.items():
         a = tgt.quiver.arrow(name)
         q_t = proj.get((a.target, d + a.degree))
-        e_s = sect.get((a.source, d))
-        if q_t is None or e_s is None:
+        free_s = free.get((a.source, d))
+        if q_t is None or free_s is None:
             continue
-        mats[(name, d)] = q_t.mul(action).mul(e_s)
+        mats[(name, d)] = q_t.mul(action.cols_at(free_s))
     coker = GradedRep(tgt.quiver, tgt.window, tgt.field, dims, mats)
     projection = GradedMorphism(tgt, coker, dict(proj))
     return coker, projection

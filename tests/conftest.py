@@ -7,7 +7,7 @@ import pathlib
 
 import pytest
 
-from quiver_regrade import DegreeWindow, IdealPresentation, QQ
+from quiver_regrade import QQ, DegreeWindow, GradedMorphism, IdealPresentation, Matrix
 from quiver_regrade.catalog import (
     bridge_quiver,
     heavy_loop_quiver,
@@ -79,6 +79,13 @@ def small_window() -> DegreeWindow:
 def diag_rep(small_window):
     """Commuting diagonal representation of kxy on the small window."""
     return kxy_diagonal_rep(small_window, QQ, 2)
+
+
+@pytest.fixture
+def diag_identity(diag_rep):
+    """The identity morphism of ``diag_rep``: a shared identity block per slot."""
+    blocks = {slot: Matrix.identity(QQ, n) for slot, n in diag_rep.dims.items()}
+    return GradedMorphism(diag_rep, diag_rep, blocks)
 
 
 @pytest.fixture

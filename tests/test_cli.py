@@ -57,6 +57,27 @@ class TestValidate:
         assert capsys.readouterr().err
 
 
+class TestEncoding:
+    def test_utf8_byte_order_mark_is_skipped(self, golden_dir, tmp_path, capsys):
+        p = tmp_path / "kxy-bom.quiver"
+        p.write_bytes(b"\xef\xbb\xbf" + (golden_dir / "kxy.quiver").read_bytes())
+        assert main(["discrepancy", str(p)]) == 0
+        assert capsys.readouterr().out.strip() == "1"
+
+    def test_undecodable_file_is_a_failure(self, tmp_path):
+        p = tmp_path / "utf16.quiver"
+        p.write_bytes(b"\xff\xfe" + KXY.encode("utf-16-le"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "quiver_regrade.cli", "regrade", str(p)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith(f"cannot read {p}: ")
+        assert "Traceback" not in proc.stderr
+
+
 class TestDiscrepancy:
     def test_value(self, kxy_file, capsys):
         assert main(["discrepancy", kxy_file]) == 0

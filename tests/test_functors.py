@@ -132,10 +132,8 @@ class TestMorphismTransport:
         back = collapse_morphism(kxy_trace, expand_morphism(kxy_trace, phi))
         assert back.blocks == phi.blocks
 
-    def test_expand_preserves_identity(self, kxy_trace, diag_rep):
-        from quiver_regrade import identity_morphism
-
-        up = expand_morphism(kxy_trace, identity_morphism(diag_rep))
+    def test_expand_preserves_identity(self, kxy_trace, diag_identity):
+        up = expand_morphism(kxy_trace, diag_identity)
         for block in up.blocks.values():
             assert block == Matrix.identity(block.field, block.rows)
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quiver_regrade import (
+    GF,
     Path,
     PathCountLimit,
     PathSum,
@@ -28,6 +30,7 @@ from quiver_regrade.catalog import (
     kxy_presentation,
     kxy_split_presentation,
 )
+from quiver_regrade.randomgen import random_quiver
 
 
 class TestPath:
@@ -270,6 +273,30 @@ class TestUniformComponents:
 
     def test_zero_has_no_components(self):
         assert uniform_components(PathSum.zero(QQ)) == []
+
+    @pytest.mark.parametrize("field", [QQ, GF(7)], ids=lambda f: f.spec)
+    def test_components_are_the_normalized_buckets(self, field):
+        # the reference: bucket the terms, normalize each bucket with
+        # PathSum.make and order the buckets by (degree, source, target)
+        rng = random.Random(f"paths-uniform-components-{field.spec}")
+        mixed = 0
+        for _ in range(200):
+            q = random_quiver(rng, max_vertices=3, max_arrows=4, max_degree=3)
+            paths = [p for d in range(4) for p in enumerate_paths(q, d)]
+            # repeated paths and zero coefficients, so make sums and cancels
+            x = PathSum.make(field, [
+                (rng.choice(paths), field.from_int(rng.randint(-2, 2)))
+                for _ in range(rng.randint(0, 8))
+            ])
+            buckets: dict = {}
+            for p, c in x.terms:
+                buckets.setdefault((p.degree, p.source, p.target), []).append((p, c))
+            expected = [
+                UniformElement.from_sum(PathSum.make(field, buckets[k])) for k in sorted(buckets)
+            ]
+            assert uniform_components(x) == expected
+            mixed += len({degree for degree, _, _ in buckets}) > 1
+        assert mixed > 20
 
 
 class TestFormat:

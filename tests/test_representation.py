@@ -21,7 +21,6 @@ from quiver_regrade import (
     compose_morphisms,
     evaluate_path,
     evaluate_relation,
-    identity_morphism,
     morphism_cokernel,
     morphism_kernel,
     path_from_arrows,
@@ -264,9 +263,8 @@ class TestShift:
 
 
 class TestGradedMorphism:
-    def test_identity(self, diag_rep):
-        ident = identity_morphism(diag_rep)
-        for key, block in ident.blocks.items():
+    def test_identity(self, diag_identity):
+        for key, block in diag_identity.blocks.items():
             assert block == Matrix.identity(block.field, block.rows)
 
     def test_commuting_square_enforced(self, line_quiver, line_rep):
@@ -316,12 +314,11 @@ class TestGradedMorphism:
                 blocks={("u", 0): qmat([[1, 0]])},
             )
 
-    def test_compose(self, diag_rep):
-        ident = identity_morphism(diag_rep)
+    def test_compose(self, diag_rep, diag_identity):
         rng = rng_for("repr-compose", 0)
         phi = random_morphism(rng, diag_rep, diag_rep)
-        assert compose_morphisms(ident, phi).blocks == phi.blocks
-        assert compose_morphisms(phi, ident).blocks == phi.blocks
+        assert compose_morphisms(diag_identity, phi).blocks == phi.blocks
+        assert compose_morphisms(phi, diag_identity).blocks == phi.blocks
 
     def test_compose_checks_middle(self, diag_rep, small_window):
         other = kxy_diagonal_rep(small_window, QQ, 3)
@@ -449,12 +446,12 @@ class TestKernelCokernel:
             if pr.rows:
                 assert pr.mul(block).is_zero()
 
-    def test_kernel_of_identity_is_zero(self, diag_rep):
-        ker, _ = morphism_kernel(identity_morphism(diag_rep))
+    def test_kernel_of_identity_is_zero(self, diag_identity):
+        ker, _ = morphism_kernel(diag_identity)
         assert all(n == 0 for n in ker.dims.values())
 
-    def test_cokernel_of_identity_is_zero(self, diag_rep):
-        coker, _ = morphism_cokernel(identity_morphism(diag_rep))
+    def test_cokernel_of_identity_is_zero(self, diag_identity):
+        coker, _ = morphism_cokernel(diag_identity)
         assert all(n == 0 for n in coker.dims.values())
 
 
