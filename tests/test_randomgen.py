@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from quiver_regrade import GF, QQ, DegreeWindow, Matrix
@@ -17,6 +19,13 @@ from quiver_regrade.randomgen import (
 FIELDS = [QQ, GF(32003), GF(4294967311)]
 
 PAIRS = 50
+
+# sha256 of the seeded draws below; a change to how random_rep or
+# random_morphism consumes the stream changes it
+PINNED_DRAWS = {
+    "q": "bb2e59ad39f427ed184e609ec0238b4f865eff01021704f43b559a7f68794fa6",
+    "p32003": "72e068cd7bfb69b7fbaa41a87fda0a82d626bf0eb5104cfdf0ec4f9d13bcdce1",
+}
 
 
 def dense_reference(rng, source, target):
@@ -115,3 +124,29 @@ def test_no_unknowns_draws_nothing(field):
     rng.setstate(state)
     random_morphism(rng, source, target)
     assert rng.getstate() == state
+
+
+def _entries(m):
+    return (m.rows, m.cols, tuple(tuple(str(x) for x in row) for row in m.entries))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=lambda f: f.spec)
+def test_seeded_draws_are_pinned(field):
+    """The dims, entries and blocks that 200 seeded trials draw, and where
+    the stream is left, hash to the pinned value."""
+    h = hashlib.sha256()
+    window = DegreeWindow(-1, 3)
+    for trial in range(200):
+        rng = rng_for("randomgen-pin", field.spec, trial)
+        q = random_quiver(rng, max_vertices=3, max_arrows=4, max_degree=2)
+        source = random_rep(rng, q, window, field, max_dim=3)
+        target = random_rep(rng, q, window, field, max_dim=3)
+        phi = random_morphism(rng, source, target)
+        parts = []
+        for rep in (source, target):
+            parts.append(sorted(rep.dims.items()))
+            parts.append([(k, _entries(m)) for k, m in sorted(rep.mats.items())])
+        parts.append([(k, _entries(m)) for k, m in sorted(phi.blocks.items())])
+        parts.append(rng.random())
+        h.update(repr(parts).encode())
+    assert h.hexdigest() == PINNED_DRAWS[field.spec]
