@@ -9,6 +9,18 @@ are well formed by construction and go through one private trusted
 constructor that skips those checks.  ``Matrix.identity`` hands back one
 shared object per field and size.
 
+Three trivial cases are answered without arithmetic, after the field and
+shape checks: a product with an empty dimension is ``Matrix.zero``; a
+product with a factor that *is* a shared identity is the other factor, and
+the transpose of one is itself; the kernel basis of a shared identity is
+empty, and that of a block with no pivot (no rows, or all zero) is the
+shared identity on all its columns.  Whether a matrix is a shared identity
+is one lookup of its ``id()``, with no hashing of the field.  Returning the
+other factor equals multiplying it out only when its entries are canonical
+field elements (a ``Fraction``, or an ``int`` in ``range(p)``); every
+result this package builds is, but :meth:`Matrix.from_rows` does not reduce
+what it is given.
+
 Elimination is done twice, by independently coded routines:
 
 * :class:`Echelon` - the one elimination kernel.  Rows go in sparse, as
@@ -82,6 +94,7 @@ class Matrix:
             z, o = field.zero, field.one
             entries = tuple([tuple([o if i == j else z for j in range(n)]) for i in range(n)])
             m = _IDENTITIES[key] = Matrix._trusted(n, n, entries, field)
+            _IDENTITY_IDS.add(id(m))
         return m
 
     def get(self, i: int, j: int) -> Scalar:
@@ -98,6 +111,8 @@ class Matrix:
         return Matrix._trusted(self.rows, len(indices), out, self.field)
 
     def transpose(self) -> "Matrix":
+        if id(self) in _IDENTITY_IDS:
+            return self
         out = tuple(zip(*self.entries)) if self.rows else ((),) * self.cols
         return Matrix._trusted(self.cols, self.rows, out, self.field)
 
@@ -107,6 +122,12 @@ class Matrix:
             self._same_field(other)
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: ({self.rows}x{self.cols}) @ ({other.rows}x{other.cols})")
+        if not (self.rows and self.cols and other.cols):
+            return Matrix.zero(f, self.rows, other.cols)
+        if id(self) in _IDENTITY_IDS:
+            return other
+        if id(other) in _IDENTITY_IDS:
+            return self
         dot = f.dot
         cols = list(zip(*other.entries)) or [()] * other.cols
         out = tuple([tuple([dot(left, col) for col in cols]) for left in self.entries])
@@ -158,6 +179,8 @@ class Matrix:
 
 
 _IDENTITIES: dict[tuple[Field, int], Matrix] = {}
+# id() of every value of _IDENTITIES; those objects are never freed
+_IDENTITY_IDS: set[int] = set()
 
 
 # ---------------------------------------------------------------------------
@@ -309,8 +332,12 @@ def _kernel_basis(m: Matrix) -> tuple[Matrix, list[int]]:
     of the basis at the free columns form the identity.
     """
     f = m.field
-    zero, one, neg = f.zero, f.one, f.neg
+    if id(m) in _IDENTITY_IDS:
+        return Matrix.zero(f, m.cols, 0), []
     red = _reduced(f, m.entries)
+    if not red:
+        return Matrix.identity(f, m.cols), list(range(m.cols))
+    zero, one, neg = f.zero, f.one, f.neg
     free = [c for c in range(m.cols) if c not in red]
     rows = tuple(
         [

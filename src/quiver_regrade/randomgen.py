@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import partial
 
 from .fields import QQ, Field, PrimeField, Scalar
 from .linalg import Echelon, Matrix
@@ -139,7 +140,19 @@ def random_rep(
     field: Field,
     max_dim: int = 3,
 ) -> GradedRep:
-    """Random dimensions and matrices on every slot; relations not imposed."""
+    """Random dimensions and matrices on every slot; relations not imposed.
+
+    Each entry is the draw ``random_scalar(rng, field)`` makes, bound once per
+    call: ``rng.randrange(p)`` over F_p, ``Fraction(rng.randint(-2, 2))`` over Q.
+    """
+    if isinstance(field, PrimeField):
+        draw = partial(rng.randrange, field.p)
+    else:
+        randint = rng.randint
+
+        def draw():
+            return Fraction(randint(-2, 2))
+
     dims: dict[Slot, int] = {}
     for v in q.vertices:
         for d in window.degrees():
@@ -151,10 +164,8 @@ def random_rep(
                 continue
             rows_n = dims[(a.target, d + a.degree)]
             cols_n = dims[(a.source, d)]
-            entries = [
-                [random_scalar(rng, field) for _ in range(cols_n)] for _ in range(rows_n)
-            ]
-            mats[(a.name, d)] = Matrix.from_rows(field, entries, cols_n)
+            entries = tuple([tuple([draw() for _ in range(cols_n)]) for _ in range(rows_n)])
+            mats[(a.name, d)] = Matrix._trusted(rows_n, cols_n, entries, field)
     return GradedRep(q, window, field, dims, mats)
 
 

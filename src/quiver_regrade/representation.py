@@ -233,11 +233,9 @@ class GradedMorphism:
     The constructor checks the shape of every block, then every commuting
     square phi_t A = B phi_s for which the target's arrow block B and both
     blocks phi_s, phi_t exist.  A square whose two sides are empty matrices
-    (no rows or no columns) holds trivially and forms no product.  A block
-    that is the shared :meth:`Matrix.identity` leaves the other factor as it
-    is (I A == A exactly), so that side is the arrow block itself; every
-    other product is multiplied out, and the two sides are compared entry by
-    entry.
+    (no rows or no columns) holds trivially and forms no product.  Every
+    other square forms both sides with :meth:`Matrix.mul` and compares them
+    entry by entry.
     """
 
     source: GradedRep
@@ -259,7 +257,6 @@ class GradedMorphism:
                 raise ValueError(
                     f"block at ({v!r}, {d}) has shape {m.rows}x{m.cols}, expected {nt}x{ns}"
                 )
-        f, identity = src.field, Matrix.identity
         arrow_map, tgt_mats = src.quiver.arrow_map, tgt.mats
         for (name, d), src_mat in src.mats.items():
             a = arrow_map.get(name) or src.quiver.arrow(name)
@@ -270,15 +267,7 @@ class GradedMorphism:
                 continue
             if left.rows == 0 or right.cols == 0:
                 continue  # both sides are empty matrices of the same shape
-            if left.rows == left.cols and left is identity(f, left.rows):
-                lhs = src_mat.entries
-            else:
-                lhs = left.mul(src_mat).entries
-            if right.rows == right.cols and right is identity(f, right.rows):
-                rhs = tgt_mat.entries
-            else:
-                rhs = tgt_mat.mul(right).entries
-            if lhs != rhs:
+            if left.mul(src_mat).entries != tgt_mat.mul(right).entries:
                 raise MorphismSquareError(f"square fails at arrow {name!r}, degree {d}")
 
     def block(self, v: str, d: int) -> Matrix | None:

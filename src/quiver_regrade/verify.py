@@ -107,6 +107,8 @@ class PropertyResult:
     failures: int
     warnings: int = 0
     first_counterexample: str | None = None
+    # measured, kept out of the report text like SuiteReport.wall_time
+    wall_time: float = dc_field(default=0.0, compare=False)
 
     @property
     def ok(self) -> bool:
@@ -233,7 +235,12 @@ class _Recorder:
 
 def _run(suite: str, cfg: SuiteConfig, *props) -> SuiteReport:
     started = time.perf_counter()
-    results = [prop(cfg) for prop in props]
+    results = []
+    for prop in props:
+        prop_started = time.perf_counter()
+        result = prop(cfg)
+        result.wall_time = time.perf_counter() - prop_started
+        results.append(result)
     return SuiteReport(suite, cfg.seed, results, wall_time=time.perf_counter() - started)
 
 

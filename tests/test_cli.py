@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import re
 import subprocess
 import sys
 import tempfile
@@ -306,6 +307,20 @@ class TestVerify:
 
     def test_unknown_suite(self, capsys):
         assert main(["verify", "--suite", "bogus"]) == 2
+
+    def test_stats_go_to_stderr_only(self, capsys):
+        argv = ["verify", "--suite", "all", "--seed", "7"]
+        assert main(argv) == 0
+        plain = capsys.readouterr()
+        assert main(argv + ["--stats"]) == 0
+        stats = capsys.readouterr()
+        assert stats.out == plain.out
+        assert "property" not in plain.err
+        lines = [line for line in stats.err.splitlines() if line.startswith("property ")]
+        names = [line.split()[1].rstrip(":") for line in lines]
+        assert len(names) == len(set(names)) == 18
+        assert all(f"{name} trials=" in plain.out for name in names)
+        assert all(re.fullmatch(r"property \w+: \d+\.\d\ds", line) for line in lines)
 
 
 class TestUsage:

@@ -104,6 +104,10 @@ class TestTrustedResults:
             results += [a.mul(mk_random(field, rng, c, k)) for k in range(5)]
             results += [Matrix.zero(field, r, c), a.rows_at(range(r - 1, -1, -1))]
             results += [nullspace(a), a.transpose(), a.cols_at(range(c - 1, -1, -1))]
+            # the short-cut returns: shared identities, zero and empty blocks
+            results += [Matrix.identity(field, r).mul(a), a.mul(Matrix.identity(field, c))]
+            results += [Matrix.zero(field, r, 0).mul(Matrix.zero(field, 0, c))]
+            results += [_kernel_basis(Matrix.zero(field, r, c))[0], nullspace(Matrix.identity(field, c))]
             for m in results:
                 self.assert_well_formed(m)
         for n in range(5):
@@ -117,6 +121,70 @@ class TestTrustedResults:
             assert i.entries == tuple(
                 tuple(field.one if r == c else field.zero for c in range(n)) for r in range(n)
             )
+
+
+SHORTCUT_FIELDS = [QQ, GF(32003), GF(4294967311)]
+
+
+def _multiplied_out(a, b):
+    """The product entry by entry, with no short-cut."""
+    f = a.field
+    return Matrix(a.rows, b.cols, tuple(
+        tuple(f.dot(a.entries[i], [b.entries[k][j] for k in range(a.cols)]) for j in range(b.cols))
+        for i in range(a.rows)
+    ), f)
+
+
+class TestShortcuts:
+    """A shared identity, a zero block and an empty shape are answered without
+    arithmetic; each answer equals the general route's, entry for entry.  The
+    general route runs on a non-shared copy of the identity."""
+
+    @pytest.mark.parametrize("field", SHORTCUT_FIELDS)
+    def test_products(self, field):
+        rng = random.Random("linalg-shortcut-products")
+        for n, k in product(range(5), range(5)):
+            i = Matrix.identity(field, n)
+            copy = Matrix.from_rows(field, i.entries, n)
+            assert copy is not i and copy == i
+            a, b = mk_random(field, rng, n, k), mk_random(field, rng, k, n)
+            assert repr(i.mul(a)) == repr(copy.mul(a)) == repr(_multiplied_out(copy, a))
+            assert repr(b.mul(i)) == repr(b.mul(copy)) == repr(_multiplied_out(b, copy))
+            if n and k:
+                assert i.mul(a) is a and b.mul(i) is b
+        for r, m, c in product(range(5), repeat=3):
+            if r and m and c:
+                continue
+            a, b = mk_random(field, rng, r, m), mk_random(field, rng, m, c)
+            assert repr(a.mul(b)) == repr(_multiplied_out(a, b))
+
+    @pytest.mark.parametrize("field", SHORTCUT_FIELDS)
+    def test_checks_run_first(self, field):
+        i = Matrix.identity(field, 2)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            i.mul(Matrix.zero(field, 3, 2))
+        with pytest.raises(ValueError, match="shape mismatch"):
+            Matrix.zero(field, 0, 3).mul(i)
+        other = QQ if field is not QQ else GF(7)
+        with pytest.raises(ValueError, match="field mismatch"):
+            i.mul(Matrix.identity(other, 2))
+
+    @pytest.mark.parametrize("field", SHORTCUT_FIELDS)
+    def test_transpose_and_kernel(self, field):
+        for n in range(5):
+            i = Matrix.identity(field, n)
+            copy = Matrix.from_rows(field, i.entries, n)
+            assert i.transpose() is i
+            assert repr(i.transpose()) == repr(copy.transpose())
+            basis, free = _kernel_basis(i)
+            assert (repr(basis), free) == (repr(_kernel_basis(copy)[0]), _kernel_basis(copy)[1])
+            assert repr(basis) == repr(_dense_nullspace(copy)) and free == []
+        for r, c in product(range(5), range(5)):  # zero blocks, 0-row blocks among them
+            z = mk(field, [[0] * c for _ in range(r)], c)
+            basis, free = _kernel_basis(z)
+            assert basis is Matrix.identity(field, c)
+            assert repr(basis) == repr(_dense_nullspace(z))
+            assert free == [j for j in range(c) if j not in _dense_rref(z)[1]] == list(range(c))
 
 
 class TestRank:
