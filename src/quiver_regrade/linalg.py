@@ -18,8 +18,8 @@ shared identity on all its columns.  Whether a matrix is a shared identity
 is one lookup of its ``id()``, with no hashing of the field.  Returning the
 other factor equals multiplying it out only when its entries are canonical
 field elements (a ``Fraction``, or an ``int`` in ``range(p)``); every
-result this package builds is, but :meth:`Matrix.from_rows` does not reduce
-what it is given.
+result this package builds has them, but ``Matrix(...)`` and
+:meth:`Matrix.from_rows` do not reduce what they are given.
 
 Elimination is done twice, by independently coded routines:
 

@@ -107,7 +107,8 @@ class TestTrustedResults:
             # the short-cut returns: shared identities, zero and empty blocks
             results += [Matrix.identity(field, r).mul(a), a.mul(Matrix.identity(field, c))]
             results += [Matrix.zero(field, r, 0).mul(Matrix.zero(field, 0, c))]
-            results += [_kernel_basis(Matrix.zero(field, r, c))[0], nullspace(Matrix.identity(field, c))]
+            results += [_kernel_basis(Matrix.zero(field, r, c))[0]]
+            results += [nullspace(Matrix.identity(field, c))]
             for m in results:
                 self.assert_well_formed(m)
         for n in range(5):
@@ -177,14 +178,15 @@ class TestShortcuts:
             assert i.transpose() is i
             assert repr(i.transpose()) == repr(copy.transpose())
             basis, free = _kernel_basis(i)
-            assert (repr(basis), free) == (repr(_kernel_basis(copy)[0]), _kernel_basis(copy)[1])
-            assert repr(basis) == repr(_dense_nullspace(copy)) and free == []
+            copy_basis, copy_free = _kernel_basis(copy)
+            assert repr(basis) == repr(copy_basis) == repr(_dense_nullspace(copy))
+            assert free == copy_free == []
         for r, c in product(range(5), range(5)):  # zero blocks, 0-row blocks among them
             z = mk(field, [[0] * c for _ in range(r)], c)
             basis, free = _kernel_basis(z)
             assert basis is Matrix.identity(field, c)
             assert repr(basis) == repr(_dense_nullspace(z))
-            assert free == [j for j in range(c) if j not in _dense_rref(z)[1]] == list(range(c))
+            assert free == list(range(c))
 
 
 class TestRank:
