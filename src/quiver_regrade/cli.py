@@ -194,10 +194,9 @@ def _cmd_verify(args) -> int:
     reports = run_suites(names, cfg)
     sys.stdout.write(render_reports(reports))
     elapsed = time.perf_counter() - started
-    if args.stats:
-        for rep in reports:
-            for r in rep.results:
-                print(f"property {r.name}: {r.wall_time:.2f}s", file=sys.stderr)
+    for rep in reports:
+        for r in rep.results:
+            print(f"property {r.name}: {r.wall_time:.2f}s", file=sys.stderr)
     print(f"wall time: {elapsed:.2f}s", file=sys.stderr)
     return 0 if all(rep.ok() for rep in reports) else 1
 
@@ -252,8 +251,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", type=_window_arg, default=DegreeWindow(-2, 10),
                    help="degree window LO:HI (use --window=LO:HI for negative LO)")
     p.add_argument("--max-dim", type=_at_least(0), default=3)
-    p.add_argument("--stats", action="store_true",
-                   help="write each property's wall time to stderr")
     p.set_defaults(handler=_cmd_verify)
 
     return parser

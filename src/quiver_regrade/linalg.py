@@ -117,6 +117,15 @@ class Matrix:
         return Matrix._trusted(self.cols, self.rows, out, self.field)
 
     def mul(self, other: "Matrix") -> "Matrix":
+        """The product ``self @ other``.
+
+        With an empty dimension it is :meth:`zero`; with a factor that is the
+        shared :meth:`identity` it is the other factor itself, not reduced.
+        That equals the multiplied-out product only when the other factor's
+        entries are canonical field elements, as in every matrix this package
+        builds; entries given to ``Matrix(...)`` or :meth:`from_rows` are not
+        reduced (``from_rows(GF(7), [[9]], 1)`` keeps 9).
+        """
         f = self.field
         if other.field is not f:
             self._same_field(other)

@@ -18,6 +18,7 @@ callers who need nonzero morphisms should retry with another trial.
 from __future__ import annotations
 
 import random
+from collections.abc import Callable
 from fractions import Fraction
 from functools import partial
 
@@ -33,14 +34,27 @@ def rng_for(*parts) -> random.Random:
     return random.Random("|".join(str(p) for p in parts))
 
 
-def random_scalar(rng: random.Random, field: Field, nonzero: bool = False) -> Scalar:
+def _scalar_draw(
+    rng: random.Random, field: Field, nonzero: bool = False
+) -> Callable[[], Scalar]:
+    """The one rule for a random scalar, bound to ``rng``: ``randrange(p)``
+    over F_p (from 1 when ``nonzero``), ``Fraction(randint(-2, 2))`` over Q
+    (redrawn while 0 when ``nonzero``)."""
     if isinstance(field, PrimeField):
-        lo = 1 if nonzero else 0
-        return rng.randrange(lo, field.p)
-    while True:
-        value = Fraction(rng.randint(-2, 2))
-        if not nonzero or value != 0:
-            return value
+        return partial(rng.randrange, 1 if nonzero else 0, field.p)
+    randint = rng.randint
+
+    def draw() -> Scalar:
+        while True:
+            value = Fraction(randint(-2, 2))
+            if not nonzero or value != 0:
+                return value
+
+    return draw
+
+
+def random_scalar(rng: random.Random, field: Field, nonzero: bool = False) -> Scalar:
+    return _scalar_draw(rng, field, nonzero)()
 
 
 def random_quiver(
@@ -142,17 +156,9 @@ def random_rep(
 ) -> GradedRep:
     """Random dimensions and matrices on every slot; relations not imposed.
 
-    Each entry is the draw ``random_scalar(rng, field)`` makes, bound once per
-    call: ``rng.randrange(p)`` over F_p, ``Fraction(rng.randint(-2, 2))`` over Q.
+    Each entry is the draw :func:`random_scalar` makes, bound once per call.
     """
-    if isinstance(field, PrimeField):
-        draw = partial(rng.randrange, field.p)
-    else:
-        randint = rng.randint
-
-        def draw():
-            return Fraction(randint(-2, 2))
-
+    draw = _scalar_draw(rng, field)
     dims: dict[Slot, int] = {}
     for v in q.vertices:
         for d in window.degrees():
@@ -228,7 +234,8 @@ def random_morphism(
                     ech.add(row)
     ech.back_substitute()
     pivots = ech.pivots
-    values = {c: random_scalar(rng, field) for c in range(nvars) if c not in pivots}
+    draw = _scalar_draw(rng, field)
+    values = {c: draw() for c in range(nvars) if c not in pivots}
     for pc, prow in pivots.items():
         free = [k for k in prow if k != pc]
         values[pc] = field.neg(field.dot([values[k] for k in free], [prow[k] for k in free]))

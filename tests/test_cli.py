@@ -308,19 +308,18 @@ class TestVerify:
     def test_unknown_suite(self, capsys):
         assert main(["verify", "--suite", "bogus"]) == 2
 
-    def test_stats_go_to_stderr_only(self, capsys):
-        argv = ["verify", "--suite", "all", "--seed", "7"]
-        assert main(argv) == 0
-        plain = capsys.readouterr()
-        assert main(argv + ["--stats"]) == 0
-        stats = capsys.readouterr()
-        assert stats.out == plain.out
-        assert "property" not in plain.err
-        lines = [line for line in stats.err.splitlines() if line.startswith("property ")]
+    def test_property_times_go_to_stderr(self, capsys):
+        assert main(["verify", "--suite", "all", "--seed", "7"]) == 0
+        captured = capsys.readouterr()
+        assert hashlib.sha256(captured.out.encode()).hexdigest() == (
+            "4488dae582db5d1800819edb4d271d541e5f5a390d754a87c23b314ed3b10037"
+        )
+        *lines, last = captured.err.splitlines()
+        assert re.fullmatch(r"wall time: \d+\.\d\ds", last)
+        assert all(re.fullmatch(r"property \w+: \d+\.\d\ds", line) for line in lines)
         names = [line.split()[1].rstrip(":") for line in lines]
         assert len(names) == len(set(names)) == 18
-        assert all(f"{name} trials=" in plain.out for name in names)
-        assert all(re.fullmatch(r"property \w+: \d+\.\d\ds", line) for line in lines)
+        assert all(f"{name} trials=" in captured.out for name in names)
 
 
 class TestUsage:
