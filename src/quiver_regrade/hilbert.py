@@ -58,7 +58,7 @@ class HilbertRow:
     """One degree of a Hilbert table and the work it took."""
 
     degree: int
-    dim: int  # the normal paths of this degree (from the vertex, if given)
+    dim: int  # the normal paths of this degree (from the vertex, to the target, if given)
     basis_added: int  # basis elements whose leading path has this degree
     rows: int  # rows given to Echelon at this degree
     seconds: float = dc_field(compare=False)
@@ -187,20 +187,24 @@ def hilbert_table(
     vertex: str | None = None,
     field: Field = QQ,
     max_paths: int | None = DEFAULT_MAX_PATHS,
+    target: str | None = None,
 ) -> Iterator[HilbertRow]:
-    """One row per degree 0..max_degree of kQ/I, or of its e_v corner.
+    """One row per degree 0..max_degree of kQ/I, or of its corner: the
+    paths from ``vertex`` and the paths to ``target``, for those given.
 
     Over F_p a dimension can only overshoot the rational value (a rank can
     drop mod p, never rise), so rational and modular runs are comparable.
+    The ``max_paths`` guard counts the normal paths to every vertex.
     """
     if max_degree < 0:
         raise ValueError("degree must be nonnegative")
-    if vertex is not None and not q.has_vertex(vertex):
-        raise KeyError(f"unknown vertex {vertex!r}")
-    return _table(q, ideal, max_degree, vertex, field, max_paths)
+    for end in (vertex, target):
+        if end is not None and not q.has_vertex(end):
+            raise KeyError(f"unknown vertex {end!r}")
+    return _table(q, ideal, max_degree, vertex, target, field, max_paths)
 
 
-def _table(q, ideal, max_degree, vertex, field, max_paths) -> Iterator[HilbertRow]:
+def _table(q, ideal, max_degree, vertex, target, field, max_paths) -> Iterator[HilbertRow]:
     started = time.perf_counter()
     gens = [(g.degree, g.source, g.sum.to_field(field).terms) for g in ideal if g.degree <= max_degree]
     dead = {v for degree, v, terms in gens if degree == 0 and terms}
@@ -218,7 +222,8 @@ def _table(q, ideal, max_degree, vertex, field, max_paths) -> Iterator[HilbertRo
     # the normal paths of the last few degrees, grouped by their end vertex
     walk = {0: {v: [()] for v in starts}}
     reach = max((a.degree for a in arrows), default=0)
-    yield HilbertRow(0, len(starts), len(dead), 0, time.perf_counter() - started)
+    dim = len(starts) if target is None else starts.count(target)
+    yield HilbertRow(0, dim, len(dead), 0, time.perf_counter() - started)
     for d in range(1, max_degree + 1):
         started = time.perf_counter()
         added, rows = basis.grow(d)
@@ -240,7 +245,8 @@ def _table(q, ideal, max_degree, vertex, field, max_paths) -> Iterator[HilbertRo
             )
         walk[d] = level
         walk.pop(d - reach, None)
-        yield HilbertRow(d, count, added, rows, time.perf_counter() - started)
+        dim = count if target is None else len(level.get(target, ()))
+        yield HilbertRow(d, dim, added, rows, time.perf_counter() - started)
 
 
 def graded_dim(
@@ -250,10 +256,11 @@ def graded_dim(
     vertex: str | None = None,
     field: Field = QQ,
     max_paths: int | None = DEFAULT_MAX_PATHS,
+    target: str | None = None,
 ) -> int:
-    """dim of the degree-d piece of kQ/I, or of its e_v corner when given:
-    the last row of :func:`hilbert_table`."""
-    *_, last = hilbert_table(q, ideal, degree, vertex, field, max_paths)
+    """dim of the degree-d piece of kQ/I, or of its corner from ``vertex``
+    and to ``target`` when given: the last row of :func:`hilbert_table`."""
+    *_, last = hilbert_table(q, ideal, degree, vertex, field, max_paths, target)
     return last.dim
 
 
@@ -262,6 +269,7 @@ def _relation_rows(
     ideal: IdealPresentation,
     degree: int,
     vertex: str | None,
+    target: str | None,
     field: Field,
     basis_index: dict,
     max_paths: int | None,
@@ -275,7 +283,9 @@ def _relation_rows(
             lefts = enumerate_paths(q, left_deg, source=vertex, target=gen.source, limit=max_paths)
             if not lefts:
                 continue
-            rights = enumerate_paths(q, right_deg, source=gen.target, limit=max_paths)
+            rights = enumerate_paths(
+                q, right_deg, source=gen.target, target=target, limit=max_paths
+            )
             # p*mid*s is injective in mid for fixed p and s, and PathSum keeps
             # no zero coefficient, so each row needs no accumulation
             for p in lefts:
@@ -293,17 +303,23 @@ def graded_dim_naive(
     vertex: str | None = None,
     field: Field = QQ,
     max_paths: int | None = DEFAULT_MAX_PATHS,
+    target: str | None = None,
 ) -> int:
-    """Same dimension through the second-opinion dense rank routine."""
+    """Same dimension through the second-opinion dense rank routine.
+
+    A corner restricts the basis and the outer factors: the left factors of
+    each relation start at ``vertex`` and the right factors end at
+    ``target``, for those given.
+    """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
-    basis = enumerate_paths(q, degree, source=vertex, limit=max_paths)
+    basis = enumerate_paths(q, degree, source=vertex, target=target, limit=max_paths)
     if not basis:
         return 0
     n = len(basis)
     index = {p: i for i, p in enumerate(basis)}
     rows = [
         [row.get(j, field.zero) for j in range(n)]
-        for row in _relation_rows(q, ideal, degree, vertex, field, index, max_paths)
+        for row in _relation_rows(q, ideal, degree, vertex, target, field, index, max_paths)
     ]
     return n - rank_naive(Matrix.from_rows(field, rows, n))

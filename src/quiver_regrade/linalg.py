@@ -7,19 +7,24 @@ row has the stated length.  Results the module builds itself - of
 ``zero``, ``identity`` and the kernel bases that :func:`nullspace` assembles -
 are well formed by construction and go through one private trusted
 constructor that skips those checks.  ``Matrix.identity`` hands back one
-shared object per field and size.
+shared object per field and size, and ``Matrix.zero`` one per field and
+shape.  Both caches are keyed by the ``id()`` of the field, so a lookup
+never hashes it; the cached matrix holds its field, so that id is never
+reused.  Two fields that are equal but distinct objects (``PrimeField(p)``
+and ``GF(p)``) get distinct, equal matrices.
 
-Three trivial cases are answered without arithmetic, after the field and
+Four trivial cases are answered without arithmetic, after the field and
 shape checks: a product with an empty dimension is ``Matrix.zero``; a
 product with a factor that *is* a shared identity is the other factor, and
-the transpose of one is itself; the kernel basis of a shared identity is
-empty, and that of a block with no pivot (no rows, or all zero) is the
-shared identity on all its columns.  Whether a matrix is a shared identity
-is one lookup of its ``id()``, with no hashing of the field.  Returning the
-other factor equals multiplying it out only when its entries are canonical
-field elements (a ``Fraction``, or an ``int`` in ``range(p)``); every
-result this package builds has them, but ``Matrix(...)`` and
-:meth:`Matrix.from_rows` do not reduce what they are given.
+the transpose of one is itself; the rank of a shared identity is its size;
+the kernel basis of a shared identity is empty, and that of a block with no
+pivot (no rows, or all zero) is the shared identity on all its columns.
+Whether a matrix is a shared identity is one lookup of its ``id()``.
+Returning the other factor equals multiplying it out only when its entries
+are canonical field elements (a ``Fraction``, or an ``int`` in
+``range(p)``); every result this package builds has them, but
+``Matrix(...)`` and :meth:`Matrix.from_rows` do not reduce what they are
+given.
 
 Elimination is done twice, by independently coded routines:
 
@@ -69,7 +74,11 @@ class Matrix:
         """A matrix whose ``entries`` are known to be ``rows`` tuples of
         ``cols`` scalars: the fields are set without the shape checks."""
         m = object.__new__(Matrix)
-        m.__dict__.update(rows=rows, cols=cols, entries=entries, field=field)
+        d = m.__dict__
+        d["rows"] = rows
+        d["cols"] = cols
+        d["entries"] = entries
+        d["field"] = field
         return m
 
     @staticmethod
@@ -83,12 +92,18 @@ class Matrix:
 
     @staticmethod
     def zero(field: Field, rows: int, cols: int) -> "Matrix":
-        return Matrix._trusted(rows, cols, ((field.zero,) * cols,) * rows, field)
+        """The rows x cols zero; one shared object per ``(field, rows, cols)``."""
+        key = (id(field), rows, cols)
+        m = _ZEROS.get(key)
+        if m is None:
+            entries = ((field.zero,) * cols,) * rows
+            m = _ZEROS[key] = Matrix._trusted(rows, cols, entries, field)
+        return m
 
     @staticmethod
     def identity(field: Field, n: int) -> "Matrix":
         """The n x n identity; one shared object per ``(field, n)``."""
-        key = (field, n)
+        key = (id(field), n)
         m = _IDENTITIES.get(key)
         if m is None:
             z, o = field.zero, field.one
@@ -187,7 +202,9 @@ class Matrix:
             raise ValueError(f"field mismatch: {self.field} vs {other.field}")
 
 
-_IDENTITIES: dict[tuple[Field, int], Matrix] = {}
+# keyed by id(field): each cached matrix holds its field, so that id is never reused
+_ZEROS: dict[tuple[int, int, int], Matrix] = {}
+_IDENTITIES: dict[tuple[int, int], Matrix] = {}
 # id() of every value of _IDENTITIES; those objects are never freed
 _IDENTITY_IDS: set[int] = set()
 
@@ -279,6 +296,8 @@ def rank_of_rows(field: Field, rows: Iterable[dict[int, Scalar]], ncols: int) ->
 
 
 def rank(m: Matrix) -> int:
+    if id(m) in _IDENTITY_IDS:
+        return m.rows
     f = m.field
     return rank_of_rows(f, (_sparse(f, row) for row in m.entries), m.cols)
 

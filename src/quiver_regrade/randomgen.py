@@ -6,13 +6,13 @@ from its seed string alone.  Nothing here reads global RNG state.
 Random morphisms are drawn from the actual space of morphisms.  The
 commuting-square conditions are linear in the block entries and have
 Kronecker structure, vec(phi_t A - B phi_s) = (A^T (x) I) vec phi_t -
-(I (x) B) vec phi_s, so each arrow block contributes sparse rows that go
-straight into the shared :class:`~quiver_regrade.linalg.Echelon` kernel; no
-dense system is ever built.  The reduced row echelon form of that system is
-unique for the fixed numbering of the unknowns, so drawing one scalar per free
-unknown, in ascending order, replays the same morphism from the same seed.
-This can legitimately produce the zero morphism when the space is small;
-callers who need nonzero morphisms should retry with another trial.
+(I (x) B) vec phi_s, so each arrow block contributes sparse rows for the
+shared :class:`~quiver_regrade.linalg.Echelon` kernel; no dense system is
+ever built.  The reduced row echelon form of that system is unique for the
+fixed numbering of the unknowns, so drawing one scalar per free unknown, in
+ascending order, replays the same morphism from the same seed.  This can
+legitimately produce the zero morphism when the space is small; callers who
+need nonzero morphisms should retry with another trial.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from __future__ import annotations
 import random
 from collections.abc import Callable
 from fractions import Fraction
-from functools import partial
 
 from .fields import QQ, Field, PrimeField, Scalar
 from .linalg import Echelon, Matrix
@@ -39,9 +38,28 @@ def _scalar_draw(
 ) -> Callable[[], Scalar]:
     """The one rule for a random scalar, bound to ``rng``: ``randrange(p)``
     over F_p (from 1 when ``nonzero``), ``Fraction(randint(-2, 2))`` over Q
-    (redrawn while 0 when ``nonzero``)."""
+    (redrawn while 0 when ``nonzero``).
+
+    Over F_p the draw is written out as ``lo + r``, with ``r`` drawn as
+    ``getrandbits(k)`` until it is below ``n = p - lo``, for ``k`` the bit
+    length of ``n``.  That is the body ``randrange(lo, p)`` runs for a
+    ``random.Random`` (``lo + _randbelow_with_getrandbits(p - lo)``) on every
+    supported Python, so it consumes the same bits and returns the same
+    values, without the argument checks and the two calls of each draw.
+    """
     if isinstance(field, PrimeField):
-        return partial(rng.randrange, 1 if nonzero else 0, field.p)
+        lo = 1 if nonzero else 0
+        n = field.p - lo
+        k = n.bit_length()
+        getrandbits = rng.getrandbits
+
+        def draw_mod_p() -> Scalar:
+            r = getrandbits(k)
+            while r >= n:
+                r = getrandbits(k)
+            return lo + r
+
+        return draw_mod_p
     randint = rng.randint
 
     def draw() -> Scalar:
@@ -184,19 +202,21 @@ def random_morphism(
     entry (i, j) of the block at a slot is one unknown, numbered slot by slot
     and row-major.  For each arrow block A of the source and B of the target,
     the square vec(phi_t A - B phi_s) = (A^T (x) I) vec phi_t - (I (x) B)
-    vec phi_s = 0 gives one sparse row per entry, fed straight into an
-    :class:`Echelon`.  After back substitution the pivot map is the reduced
-    row echelon form of the system, which is unique for this column order, so
-    the random point is reproducible: one ``random_scalar`` per free column in
-    ascending order is its coordinate, and each pivot unknown is minus the
-    combination of those coordinates that its reduced row names.
+    vec phi_s = 0 gives one sparse row per entry.  The rows go into an
+    :class:`Echelon` by ascending last column, which keeps the fill-in low.
+    After back substitution the pivot map is the reduced row echelon form of
+    the row space, which is unique for this column numbering whatever order
+    the rows came in.  So the random point is reproducible: one
+    ``random_scalar`` per free column in ascending order is its coordinate,
+    and each pivot unknown is minus the combination of those coordinates
+    that its reduced row names.
     """
     if source.quiver != target.quiver or source.window != target.window:
         raise ValueError("morphism endpoints must share quiver and window")
     if source.field != target.field:
         raise ValueError("morphism endpoints must share the field")
     field = source.field
-    is_zero, sub = field.is_zero, field.sub
+    is_zero, neg = field.is_zero, field.neg
     slots = sorted(set(source.dims) & set(target.dims))
     # the unknown for entry (i, j) of the block at slot is offset[slot] + i * cols + j
     offset: dict[Slot, int] = {}
@@ -204,9 +224,11 @@ def random_morphism(
     for slot in slots:
         offset[slot] = nvars
         nvars += target.dims[slot] * source.dims[slot]
-    ech = Echelon(field)
+    rows: list[dict[int, Scalar]] = []
     for (name, d) in sorted(source.mats):
         a = source.quiver.arrow(name)
+        if a.degree < 1:  # the rows below need phi_t and phi_s at different slots
+            raise ValueError(f"arrow {name!r}: nonpositive degree {a.degree}")
         skey = (a.source, d)
         tkey = (a.target, d + a.degree)
         b_mat = target.mats.get((name, d))
@@ -215,23 +237,27 @@ def random_morphism(
         a_rows = source.mats[(name, d)].entries
         na_t, na_s = source.dims[tkey], source.dims[skey]
         t0, s0 = offset[tkey], offset[skey]
-        # one equation per entry (i, j) of phi_t A - B phi_s
+        # the nonzero entries A[k][j] of each column j, as (k, A[k][j])
+        a_cols = [
+            [(k, a_row[j]) for k, a_row in enumerate(a_rows) if not is_zero(a_row[j])]
+            for j in range(na_s)
+        ]
+        # one equation per entry (i, j) of phi_t A - B phi_s: A[k][j] at the
+        # unknown phi_t[i][k], -B[i][k] at phi_s[k][j]; the two blocks lie at
+        # different slots, so no unknown is hit twice
         for i, b_row in enumerate(b_mat.entries):
-            for j in range(na_s):
-                row: dict[int, Scalar] = {}
-                for k in range(na_t):
-                    x = a_rows[k][j]
-                    if not is_zero(x):
-                        row[t0 + i * na_t + k] = x
-                for k, x in enumerate(b_row):
-                    col = s0 + k * na_s + j
-                    y = sub(row.get(col, field.zero), x)
-                    if is_zero(y):
-                        row.pop(col, None)
-                    else:
-                        row[col] = y
+            t_base = t0 + i * na_t
+            # the nonzero -B[i][k], as (the unknown phi_s[k][0], -B[i][k])
+            b_neg = [(s0 + k * na_s, neg(y)) for k, y in enumerate(b_row) if not is_zero(y)]
+            for j, a_col in enumerate(a_cols):
+                row = {t_base + k: x for k, x in a_col}
+                for c, y in b_neg:
+                    row[c + j] = y
                 if row:
-                    ech.add(row)
+                    rows.append(row)
+    ech = Echelon(field)
+    for row in sorted(rows, key=max):
+        ech.add(row)
     ech.back_substitute()
     pivots = ech.pivots
     draw = _scalar_draw(rng, field)

@@ -363,7 +363,9 @@ def morphism_kernel(phi: GradedMorphism) -> tuple[GradedRep, GradedMorphism]:
         free_t = free.get((a.target, d + a.degree))
         if b_s is None or free_t is None:
             continue
-        mats[(name, d)] = action.mul(b_s).rows_at(free_t)
+        image = action.mul(b_s)
+        # free_t is ascending and distinct: as long as the rows, it is all of them
+        mats[(name, d)] = image if len(free_t) == image.rows else image.rows_at(free_t)
     kernel = GradedRep(src.quiver, src.window, src.field, dims, mats)
     inclusion = GradedMorphism(kernel, src, dict(basis))
     return kernel, inclusion
@@ -395,7 +397,9 @@ def morphism_cokernel(phi: GradedMorphism) -> tuple[GradedRep, GradedMorphism]:
         free_s = free.get((a.source, d))
         if q_t is None or free_s is None:
             continue
-        mats[(name, d)] = q_t.mul(action.cols_at(free_s))
+        # free_s is ascending and distinct: as long as the columns, it is all of them
+        at_free = action if len(free_s) == action.cols else action.cols_at(free_s)
+        mats[(name, d)] = q_t.mul(at_free)
     coker = GradedRep(tgt.quiver, tgt.window, tgt.field, dims, mats)
     projection = GradedMorphism(tgt, coker, dict(proj))
     return coker, projection

@@ -17,8 +17,9 @@ from quiver_regrade import (
     hilbert_table,
     parse_presentation,
 )
-from quiver_regrade.catalog import kxy_presentation, kxy_split_presentation
+from quiver_regrade.catalog import heavy_loop_quiver, kxy_presentation, kxy_split_presentation
 from quiver_regrade.randomgen import random_ideal, random_quiver, rng_for
+from quiver_regrade.regrade import regrade
 
 
 def commutative_two_variable_count(d):
@@ -291,3 +292,94 @@ class TestDifferential:
                 assert got[-1] == graded_dim(q, ideal, top, vertex=vertex, field=field)
                 compared += 1
         assert compared >= 40  # the naive guard skips only a few presentations
+
+
+class TestCornerIdentity:
+    """For e the sum of the idempotents of the original vertices,
+    e (kQ'/I') e is kQ/I: regrading keeps the table of every corner between
+    original vertices v and w, the paths from v to w."""
+
+    TOP = 7
+
+    @staticmethod
+    def corners(q, ideal, vertices, top, field=QQ):
+        return {
+            (v, w): _dims(q, ideal, top, vertex=v, target=w, field=field)
+            for v in vertices
+            for w in vertices
+        }
+
+    def test_kxy(self, kxy, kxy_split):
+        want = {("v", "v"): [d // 2 + 1 for d in range(9)]}
+        assert self.corners(*kxy, ["v"], 8) == want
+        assert self.corners(*kxy_split, ["v"], 8) == want
+        # the fresh vertex is not original, and its corners differ
+        q, ideal = kxy_split
+        assert _dims(q, ideal, 8, vertex="v", target="z") == [0, 1, 1, 2, 2, 3, 3, 4, 4]
+
+    def test_heavy_loop(self):
+        q = heavy_loop_quiver(3)
+        split = regrade(q, IdealPresentation.of([]))
+        want = [1 if d % 3 == 0 else 0 for d in range(10)]
+        for field in (QQ, GF(32003)):
+            assert _dims(q, IdealPresentation.of([]), 9, target="v", field=field) == want
+            assert self.corners(split.final_quiver, split.final_ideal, ["v"], 9, field) == {
+                ("v", "v"): want
+            }
+        fresh = [v for v in split.final_quiver.vertices if v != "v"]
+        assert len(fresh) == 2
+        for i, z in enumerate(fresh):  # v -> z -> z1 -> v, with z at degree 1
+            assert _dims(split.final_quiver, split.final_ideal, 9, vertex="v", target=z) == [
+                1 if d % 3 == i + 1 else 0 for d in range(10)
+            ]
+
+    @pytest.mark.parametrize("field", [QQ, GF(32003)], ids=lambda f: f.spec)
+    def test_seeded_regrades_keep_every_original_corner(self, field):
+        regraded = compared = 0
+        for seed in range(300):
+            rng = rng_for("hilbert-corner-identity", seed)
+            q = random_quiver(rng, max_vertices=3, max_arrows=4)
+            ideal = random_ideal(rng, q)
+            split = regrade(q, ideal)
+            regraded += bool(split.trace)
+            want = self.corners(q, ideal, q.vertices, self.TOP, field)
+            got = self.corners(split.final_quiver, split.final_ideal, q.vertices, self.TOP, field)
+            assert got == want, (seed, q, ideal)
+            compared += len(want)
+        assert regraded >= 200 and compared >= 600
+
+    @pytest.mark.parametrize("block", range(4))
+    def test_target_against_naive(self, block):
+        top, compared = 5, 0
+        for seed in range(25 * block, 25 * block + 25):
+            rng = rng_for("hilbert-target-differential", seed)
+            q = random_quiver(rng, max_vertices=3, max_arrows=4)
+            ideal = random_ideal(rng, q)
+            vertex = rng.choice([None, *q.vertices])
+            target = rng.choice(q.vertices)
+            for field in (QQ, GF(32003)):
+                try:
+                    want = [
+                        graded_dim_naive(
+                            q, ideal, d, vertex=vertex, field=field, max_paths=120, target=target
+                        )
+                        for d in range(top + 1)
+                    ]
+                except PathCountLimit:
+                    continue
+                got = _dims(q, ideal, top, vertex=vertex, target=target, field=field)
+                assert got == want, (seed, field, vertex, target)
+                compared += 1
+        assert compared >= 20
+
+    def test_corners_sum_to_the_table(self, kxy_split):
+        q, ideal = kxy_split
+        by_target = [_dims(q, ideal, 8, target=w) for w in q.vertices]
+        assert [sum(col) for col in zip(*by_target)] == _dims(q, ideal, 8)
+
+    def test_unknown_target(self, kxy):
+        q, ideal = kxy
+        with pytest.raises(KeyError, match="ghost"):
+            hilbert_table(q, ideal, 2, target="ghost")
+        with pytest.raises(KeyError, match="ghost"):
+            graded_dim_naive(q, ideal, 2, target="ghost")

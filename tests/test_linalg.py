@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quiver_regrade import GF, QQ, Matrix, nullspace, rank, rank_naive, rref
+from quiver_regrade.fields import PrimeField
 from quiver_regrade.linalg import Echelon, _kernel_basis
 
 FIELDS = [QQ, GF(7), GF(32003), GF(4294967311)]  # the last exceeds int64 products
@@ -187,6 +188,34 @@ class TestShortcuts:
             assert basis is Matrix.identity(field, c)
             assert repr(basis) == repr(_dense_nullspace(z))
             assert free == list(range(c))
+
+    @pytest.mark.parametrize("field", SHORTCUT_FIELDS)
+    def test_zero_is_shared(self, field):
+        for r, c in product(range(5), range(5)):
+            z = Matrix.zero(field, r, c)
+            assert Matrix.zero(field, r, c) is z
+            assert z == Matrix.from_rows(field, [[field.zero] * c for _ in range(r)], c)
+            assert repr(z) == repr(mk(field, [[0] * c for _ in range(r)], c))
+
+    def test_equal_fields_give_equal_matrices(self):
+        # distinct objects that compare equal: the caches key on the object
+        fresh, cached = PrimeField(32003), GF(32003)
+        assert fresh is not cached and fresh == cached
+        for n in range(4):
+            assert Matrix.identity(fresh, n) == Matrix.identity(cached, n)
+            assert Matrix.identity(fresh, n).field is fresh
+            assert Matrix.identity(fresh, n).mul(Matrix.identity(cached, n)).entries == (
+                Matrix.identity(cached, n).entries
+            )
+            for c in range(4):
+                assert Matrix.zero(fresh, n, c) == Matrix.zero(cached, n, c)
+                assert Matrix.zero(fresh, n, c).field is fresh
+
+    @pytest.mark.parametrize("field", SHORTCUT_FIELDS)
+    def test_rank_of_identity(self, field):
+        for n in range(5):
+            copy = Matrix.from_rows(field, Matrix.identity(field, n).entries, n)
+            assert rank(Matrix.identity(field, n)) == rank_naive(copy) == rank(copy) == n
 
 
 class TestRank:

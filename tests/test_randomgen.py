@@ -6,9 +6,10 @@ import hashlib
 
 import pytest
 
-from quiver_regrade import GF, QQ, DegreeWindow, Matrix
+from quiver_regrade import GF, QQ, Arrow, DegreeWindow, Matrix, WeightedQuiver
 from quiver_regrade.linalg import nullspace
 from quiver_regrade.randomgen import (
+    _scalar_draw,
     random_morphism,
     random_quiver,
     random_rep,
@@ -124,6 +125,34 @@ def test_no_unknowns_draws_nothing(field):
     rng.setstate(state)
     random_morphism(rng, source, target)
     assert rng.getstate() == state
+
+
+def test_arrow_of_degree_zero_is_refused():
+    # the square of a degree-0 loop relates two blocks at one slot, which
+    # the Kronecker rows assume apart; validate() rejects such a quiver too
+    q = WeightedQuiver.build(["v"], [Arrow("x", "v", "v", 0)])
+    rep = random_rep(rng_for("randomgen-degree-0"), q, DegreeWindow(0, 1), QQ, max_dim=2)
+    with pytest.raises(ValueError, match="nonpositive degree 0"):
+        random_morphism(rng_for("randomgen-degree-0"), rep, rep)
+
+
+DRAW_PRIMES = [2, 3, 5, 7, 31, 32003, 65521, 2**31 - 1, 4294967311, 2**61 - 1]
+
+
+@pytest.mark.parametrize("p", DRAW_PRIMES)
+@pytest.mark.parametrize("nonzero", [False, True])
+def test_scalar_draw_is_randrange(p, nonzero):
+    """Over F_p the bound draw returns what ``randrange`` returns from the
+    same stream, and leaves the stream where ``randrange`` leaves it."""
+    ours, theirs = rng_for("randomgen-draw", p, nonzero), rng_for("randomgen-draw", p, nonzero)
+    draw = _scalar_draw(ours, GF(p), nonzero)
+    got = [draw() for _ in range(5000)]
+    if nonzero:
+        assert got == [theirs.randrange(1, p) for _ in range(5000)]
+    else:
+        assert got == [theirs.randrange(p) for _ in range(5000)]
+    assert min(got) >= nonzero and max(got) < p
+    assert ours.random() == theirs.random()
 
 
 def _entries(m):

@@ -35,7 +35,7 @@ from quiver_regrade.catalog import (
     kxy_presentation,
     kxy_split_presentation,
 )
-from quiver_regrade.linalg import Echelon, nullspace
+from quiver_regrade.linalg import Echelon, _kernel_basis, nullspace
 from quiver_regrade.randomgen import random_morphism, random_rep, rng_for
 
 
@@ -538,6 +538,51 @@ def test_kernel_and_cokernel_match_reference_route(field):
         zero_slots += 0 in src.dims.values()
         proper += any(0 < n < src.dims[key] for key, n in ker.dims.items())
     assert zero_slots and proper
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=lambda f: f.spec)
+def test_full_free_list_takes_the_action_as_it_is(field):
+    # morphism_kernel/morphism_cokernel skip the rows_at/cols_at copy when the
+    # free coordinates are all of them; the copy route must give the same
+    quivers = [kxy_presentation()[0], kxy_split_presentation()[0], bridge_quiver(2)]
+    window = DegreeWindow(0, 3)
+    full = partial = 0
+    for trial in range(60):
+        rng = rng_for(f"repr-full-free-{field.spec}", trial)
+        q = quivers[trial % len(quivers)]
+        src = random_rep(rng, q, window, field, max_dim=3)
+        tgt = src if trial % 2 else random_rep(rng, q, window, field, max_dim=3)
+        if trial % 3 == 0:  # the zero morphism: every coordinate is free
+            blocks = {
+                key: Matrix.zero(field, tgt.dims[key], n)
+                for key, n in src.dims.items() if key in tgt.dims
+            }
+            phi = GradedMorphism(src, tgt, blocks)
+        else:
+            phi = random_morphism(rng, src, tgt)
+        kernel_free = {key: _kernel_basis(b) for key, b in phi.blocks.items()}
+        coker_free = {key: _kernel_basis(b.transpose()) for key, b in phi.blocks.items()}
+        ker, _ = morphism_kernel(phi)
+        coker, _ = morphism_cokernel(phi)
+        for (name, d), action in src.mats.items():
+            a = q.arrow(name)
+            s, t = (a.source, d), (a.target, d + a.degree)
+            if s in kernel_free and t in kernel_free:
+                b_s, free_t = kernel_free[s][0], kernel_free[t][1]
+                copied = action.mul(b_s).rows_at(free_t)
+                assert repr(ker.mats[(name, d)]) == repr(copied)
+                if len(free_t) == action.rows:
+                    full += 1
+                else:
+                    partial += 1
+        for (name, d), action in tgt.mats.items():
+            a = q.arrow(name)
+            s, t = (a.source, d), (a.target, d + a.degree)
+            if s in coker_free and t in coker_free:
+                q_t, free_s = coker_free[t][0].transpose(), coker_free[s][1]
+                copied = q_t.mul(action.cols_at(free_s))
+                assert repr(coker.mats[(name, d)]) == repr(copied)
+    assert full and partial
 
 
 def test_kernel_of_non_morphism_fails_its_square_check(line_quiver, line_rep):
