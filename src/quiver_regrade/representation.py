@@ -268,7 +268,7 @@ class GradedMorphism:
             if left.rows == 0 or right.cols == 0:
                 # both sides are empty of the same shape.  Matrix.mul answers
                 # that too, but 104k of the 172k squares of `verify --suite
-                # functor --seed 7` are empty, and each would build two zeros
+                # functor --seed 7` are empty, and each would cost two calls
                 continue
             if left.mul(src_mat).entries != tgt_mat.mul(right).entries:
                 raise MorphismSquareError(f"square fails at arrow {name!r}, degree {d}")
