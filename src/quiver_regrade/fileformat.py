@@ -23,7 +23,8 @@ Every diagnostic carries a 1-based line and column.  Parsing collects as
 many diagnostics as it can before raising.  A relation whose terms mix
 degrees is rejected; one whose terms mix endpoints at a single degree is
 silently refined into its uniform components, which generate the same
-two-sided ideal.
+two-sided ideal.  Each term's path is built once, when the term ends, so
+the parse is linear in the length of the line.
 """
 
 from __future__ import annotations
@@ -38,8 +39,6 @@ from .paths import (
     Path,
     PathSum,
     UniformElement,
-    multiply_paths,
-    trivial_path,
     uniform_components,
 )
 from .quiver import Arrow, WeightedQuiver
@@ -75,18 +74,7 @@ _AT_END = {
     "coefficient": "a coefficient must be followed by '*' and a path",
     "factor": "dangling '*' at end of expression",
 }
-_SIGN = {"+": Fraction(1), "-": Fraction(-1)}
-
-
-def _parse_atom(name: str, col: int, q: WeightedQuiver, line: int) -> Path:
-    if name in q.arrow_map:
-        a = q.arrow_map[name]
-        return Path(a.source, a.target, a.degree, (name,))
-    if name.startswith("e_") and q.has_vertex(name[2:]):
-        return trivial_path(name[2:])
-    raise PresentationError(
-        [Diagnostic(line, col, f"unknown arrow or trivial path {name!r}")]
-    )
+_SIGN = {"+": (1, Fraction(1)), "-": (-1, Fraction(-1))}  # (factor, unit coefficient)
 
 
 def _parse_expression(text: str, line: int, q: WeightedQuiver) -> PathSum:
@@ -101,9 +89,12 @@ def _parse_expression(text: str, line: int, q: WeightedQuiver) -> PathSum:
     for kind, tok, col in tokens:
         if kind == "other":
             fail(col, f"unexpected character {tok!r}")
+    arrow_map, vertices = q.arrow_map, q.vertex_set
     terms: list[tuple[Path, Fraction, int]] = []  # (path, signed coeff, start col)
-    # states: start, sign, coefficient, factor (after a '*'), path
-    state, coeff, path = "start", _SIGN["+"], None
+    # states: start, sign, coefficient, factor (after a '*'), path.  A term is
+    # read as its source (None before its first atom), running end vertex,
+    # degree and arrow names; its path is built once, when the term ends
+    state, source, (sign, coeff) = "start", None, _SIGN["+"]
     for kind, tok, col in tokens:
         if state in ("start", "sign"):
             start_col = col
@@ -113,17 +104,18 @@ def _parse_expression(text: str, line: int, q: WeightedQuiver) -> PathSum:
                 continue
             if kind != "op":
                 fail(col, f"expected '+' or '-', got {tok!r}")
-            terms.append((path, coeff, start_col))
-            state, coeff, path = "sign", _SIGN[tok], None
+            terms.append((Path(source, end, degree, tuple(names)), coeff, start_col))
+            state, source, (sign, coeff) = "sign", None, _SIGN[tok]
         elif state == "coefficient":
             if tok != "*":
                 fail(col, "a coefficient must be followed by '*' and a path")
             state = "factor"
         elif state == "start" and tok == "-":
-            state, coeff = "sign", _SIGN["-"]
+            state, (sign, coeff) = "sign", _SIGN["-"]
         elif kind == "number" and state != "factor":
+            num, _, den = tok.partition("/")
             try:
-                coeff *= Fraction(tok)
+                coeff = Fraction(sign * int(num), int(den or 1))
             except ZeroDivisionError:
                 fail(col, f"coefficient {tok} has a zero denominator")
             except ValueError:  # past the interpreter's limit on integer digits
@@ -132,20 +124,25 @@ def _parse_expression(text: str, line: int, q: WeightedQuiver) -> PathSum:
         elif kind != "ident":
             fail(col, f"expected an arrow or trivial path, got {tok!r}")
         else:
-            factor = _parse_atom(tok, col, q, line)
-            if path is not None:
-                product = multiply_paths(path, factor)
-                if product is None:
-                    fail(
-                        col,
-                        f"paths do not compose: previous factor ends at "
-                        f"{path.target!r}, {tok!r} starts at {factor.source!r}",
-                    )
-                factor = product
-            state, path = "path", factor
+            arrow = arrow_map.get(tok)
+            if arrow is None and not (tok.startswith("e_") and tok[2:] in vertices):
+                fail(col, f"unknown arrow or trivial path {tok!r}")
+            head = tok[2:] if arrow is None else arrow.source
+            if source is None:
+                source, end, degree, names = head, head, 0, []
+            elif end != head:
+                fail(
+                    col,
+                    f"paths do not compose: previous factor ends at "
+                    f"{end!r}, {tok!r} starts at {head!r}",
+                )
+            if arrow is not None:  # a trivial path keeps the end vertex
+                end, degree = arrow.target, degree + arrow.degree
+                names.append(tok)
+            state = "path"
     if state != "path":
         fail(len(text), _AT_END[state])
-    terms.append((path, coeff, start_col))
+    terms.append((Path(source, end, degree, tuple(names)), coeff, start_col))
 
     degree = terms[0][0].degree
     for path, _, col in terms[1:]:

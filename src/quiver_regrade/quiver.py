@@ -32,6 +32,10 @@ class WeightedQuiver:
         )
 
     @cached_property
+    def vertex_set(self) -> frozenset[str]:
+        return frozenset(self.vertices)
+
+    @cached_property
     def arrow_map(self) -> dict[str, Arrow]:
         return {a.name: a for a in self.arrows}
 
@@ -50,7 +54,7 @@ class WeightedQuiver:
             raise KeyError(f"no arrow named {name!r}") from None
 
     def has_vertex(self, v: str) -> bool:
-        return v in set(self.vertices)
+        return v in self.vertex_set
 
     def max_degree(self) -> int:
         return max((a.degree for a in self.arrows), default=0)

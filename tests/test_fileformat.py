@@ -108,6 +108,26 @@ class TestParseGolden:
         }
 
 
+class TestLinearParse:
+    def test_each_term_path_built_once(self):
+        relation = "x*y*x - 2*y*x*e_v*y + x*x*x - 1/3*e_v*y*y*y"
+        with mock.patch.object(fileformat, "Path", side_effect=Path) as built:
+            _, ideal = parse_presentation(
+                f"[quiver]\nvertex v\narrow x v v 1\narrow y v v 1\n[relations]\n{relation}\n"
+            )
+        assert built.call_count <= 4
+        (gen,) = ideal.generators
+        assert str(gen.sum) == "x*x*x + x*y*x - 2*y*x*y - 1/3*y*y*y"
+
+    def test_long_product_is_one_term(self):
+        n = 40_000
+        _, ideal = parse_presentation(
+            "[quiver]\nvertex v\narrow x v v 1\n[relations]\n" + "*".join(["x"] * n) + "\n"
+        )
+        ((path, coeff),) = ideal.generators[0].sum.terms
+        assert (path.degree, len(path.arrows), coeff) == (n, n, 1)
+
+
 class TestDiagnostics:
     def test_unknown_section(self):
         (d,) = diagnostics_of("[quiver]\nvertex v\n[bogus]\n")
@@ -449,18 +469,25 @@ def _outcome(text):
 
 
 # x is a loop at u, y' goes u -> w, v goes w -> u at degree 2; the vertex
-# names u and w are not atoms, and e_u is the only trivial path FRAGMENTS spell
+# names u and w are not atoms
 DIFFERENTIAL_QUIVER = (
     "[quiver]\nvertex u\nvertex w\narrow x u u 1\narrow y' u w 1\narrow v w u 2\n"
     "[relations]\nx*y'*v - 2/3*y'*v*x\n"
 )
 
-# FRAGMENTS split into operands and the glue between them, so that most lines
-# get past the scanner and reach every diagnostic of the term grammar
-OPERANDS = [f for f in FRAGMENTS if re.fullmatch(r"[A-Za-z0-9_'/]+", f) and f != "/"]
+# FRAGMENTS plus the trivial path at the second vertex and a coefficient past
+# the interpreter's limit on integer digits, where one is set
+RELATION_FRAGMENTS = FRAGMENTS + [
+    "e_w", "7" * (getattr(sys, "get_int_max_str_digits", lambda: 0)() + 1)
+]
+# those split into operands and the glue between them, so that most lines get
+# past the scanner and reach every diagnostic of the term grammar
+OPERANDS = [
+    f for f in RELATION_FRAGMENTS if re.fullmatch(r"[A-Za-z0-9_'/]+", f) and f != "/"
+]
 GLUE = [f for f in FRAGMENTS if f in ("*", "+", "-", " ")]
 relation_like = st.one_of(
-    st.lists(st.sampled_from(FRAGMENTS), max_size=16).map("".join),
+    st.lists(st.sampled_from(RELATION_FRAGMENTS), max_size=16).map("".join),
     st.lists(st.tuples(st.sampled_from(OPERANDS), st.sampled_from(GLUE)), max_size=8).map(
         lambda pairs: "".join(a + g for a, g in pairs)
     ),
@@ -474,3 +501,28 @@ def test_parser_agrees_with_reference(lines):
     with mock.patch.object(fileformat, "_parse_expression", _reference_parse_expression):
         expected = _outcome(text)
     assert _outcome(text) == expected
+
+
+# composition through trivial paths, where the parser tracks the end vertex
+@pytest.mark.parametrize(
+    "relation, expected",
+    [
+        ("y'*e_u", "line 8, col 4: paths do not compose: previous factor ends at 'w', "
+                   "'e_u' starts at 'u'"),
+        ("e_u*e_w", "line 8, col 5: paths do not compose: previous factor ends at 'u', "
+                    "'e_w' starts at 'w'"),
+        ("x*e_u*y'", "x*y'"),
+        ("-e_w*v", "-v"),
+    ],
+    ids=["y'*e_u", "e_u*e_w", "x*e_u*y'", "-e_w*v"],
+)
+def test_trivial_path_composition(relation, expected):
+    text = DIFFERENTIAL_QUIVER.replace("x*y'*v - 2/3*y'*v*x", relation)
+    with mock.patch.object(fileformat, "_parse_expression", _reference_parse_expression):
+        reference = _outcome(text)
+    outcome = _outcome(text)
+    assert outcome == reference
+    if isinstance(outcome, list):
+        assert [str(d) for d in outcome] == [expected]
+    else:
+        assert [str(g.sum) for g in outcome[1]] == [expected]
