@@ -93,7 +93,6 @@ from .verify import (
     SuiteConfig,
     SuiteReport,
     render_reports,
-    reports_to_json,
     run_functor_suite,
     run_hilbert_suite,
     run_split_suite,

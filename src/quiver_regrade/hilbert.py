@@ -22,7 +22,7 @@ through v in the ideal; v and its arrows are dropped instead.
 prefixes of a normal path are normal, so extending one by an arrow checks
 only the suffixes that end at that arrow.  ``max_paths`` bounds both the
 normal paths of one degree and the number of basis elements; past it,
-:class:`~quiver_regrade.paths.PathCountLimit` is raised.
+:class:`~quiver_regrade.paths.PathCountLimit` is raised, naming the degree.
 
 :func:`graded_dim_naive` is the independent second opinion: it builds every
 product p * r * s over the full degree-d path basis as a dense row and ranks
@@ -135,9 +135,7 @@ class _Basis:
                 self._insert(cols[pivot], poly, degree)
                 added += 1
         if self.limit is not None and len(elements) > self.limit:
-            raise PathCountLimit(
-                f"more than {self.limit} Gröbner basis elements; raise the guard to proceed"
-            )
+            raise PathCountLimit(f"degree {degree}: more than {self.limit} Gröbner basis elements")
         return added, len(reducers) + len(cands)
 
     def _insert(self, lead: Word, poly: Poly, degree: int) -> None:
@@ -240,9 +238,7 @@ def _table(q, ideal, max_degree, vertex, target, field, max_paths) -> Iterator[H
                 level.setdefault(a.target, []).extend(ext)
                 count += len(ext)
         if max_paths is not None and count > max_paths:
-            raise PathCountLimit(
-                f"more than {max_paths} normal paths of degree {d}; raise the guard to proceed"
-            )
+            raise PathCountLimit(f"degree {d}: more than {max_paths} normal paths")
         walk[d] = level
         walk.pop(d - reach, None)
         dim = count if target is None else len(level.get(target, ()))

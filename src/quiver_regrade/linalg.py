@@ -2,16 +2,18 @@
 
 Matrices are immutable row-major tuples of scalars.  The public
 constructors, ``Matrix(...)`` and :meth:`Matrix.from_rows`, check that every
-row has the stated length.  Results the module builds itself - of
-``mul``/``add``/``sub``/``scale``/``neg``/``transpose``/``rows_at``/``cols_at``,
-``zero``, ``identity`` and the kernel bases that :func:`nullspace` assembles -
-are well formed by construction and go through one private trusted
-constructor that skips those checks.  ``Matrix.identity`` hands back one
-shared object per field and size, and ``Matrix.zero`` one per field and
-shape.  Both caches are keyed by the ``id()`` of the field, so a lookup
-never hashes it; the cached matrix holds its field, so that id is never
-reused.  Two fields that are equal but distinct objects (``PrimeField(p)``
-and ``GF(p)``) get distinct, equal matrices.
+row has the stated length and reduce each F_p entry into ``range(p)``;
+rational entries are kept as given.  Results the module builds
+itself - of ``mul``/``add``/``sub``/``scale``/``neg``/``transpose``/
+``rows_at``/``cols_at``, ``zero``, ``identity``, :func:`rref` and the kernel
+bases that :func:`nullspace` assembles - are canonical and well formed by
+construction and go through one private trusted constructor that skips
+those steps.  ``Matrix.identity`` hands back one shared object per field
+and size, and ``Matrix.zero`` one per field and shape.  Both caches are
+keyed by the ``id()`` of the field, so a lookup never hashes it; the cached
+matrix holds its field, so that id is never reused.  Two fields that are
+equal but distinct objects (``PrimeField(p)`` and ``GF(p)``) get distinct,
+equal matrices.
 
 Four trivial cases are answered without arithmetic, after the field and
 shape checks: a product with an empty dimension is ``Matrix.zero``; a
@@ -20,11 +22,6 @@ the transpose of one is itself; the rank of a shared identity is its size;
 the kernel basis of a shared identity is empty, and that of a block with no
 pivot (no rows, or all zero) is the shared identity on all its columns.
 Whether a matrix is a shared identity is one lookup of its ``id()``.
-Returning the other factor equals multiplying it out only when its entries
-are canonical field elements (a ``Fraction``, or an ``int`` in
-``range(p)``); every result this package builds has them, but
-``Matrix(...)`` and :meth:`Matrix.from_rows` do not reduce what they are
-given.
 
 Elimination is done twice, by independently coded routines:
 
@@ -47,6 +44,7 @@ Elimination is done twice, by independently coded routines:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from typing import Iterable, Sequence
 
@@ -66,6 +64,14 @@ class Matrix:
         for row in self.entries:
             if len(row) != self.cols:
                 raise ValueError(f"ragged row: expected {self.cols} columns")
+        f = self.field
+        if f.char:  # F_p: an int modulo p, a Fraction through from_fraction
+            p, conv = f.p, f.from_fraction
+            entries = tuple(
+                [tuple([conv(a) if isinstance(a, Fraction) else a % p for a in row])
+                 for row in self.entries]
+            )
+            object.__setattr__(self, "entries", entries)
 
     @staticmethod
     def _trusted(
@@ -135,11 +141,7 @@ class Matrix:
         """The product ``self @ other``.
 
         With an empty dimension it is :meth:`zero`; with a factor that is the
-        shared :meth:`identity` it is the other factor itself, not reduced.
-        That equals the multiplied-out product only when the other factor's
-        entries are canonical field elements, as in every matrix this package
-        builds; entries given to ``Matrix(...)`` or :meth:`from_rows` are not
-        reduced (``from_rows(GF(7), [[9]], 1)`` keeps 9).
+        shared :meth:`identity` it is the other factor itself.
         """
         f = self.field
         if other.field is not f:
@@ -349,7 +351,7 @@ def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     pivots = sorted(red)
     rows = [tuple(red[c].get(j, f.zero) for j in range(m.cols)) for c in pivots]
     rows += [(f.zero,) * m.cols] * (m.rows - len(pivots))
-    return Matrix(m.rows, m.cols, tuple(rows), f), pivots
+    return Matrix._trusted(m.rows, m.cols, tuple(rows), f), pivots
 
 
 def _kernel_basis(m: Matrix) -> tuple[Matrix, list[int]]:

@@ -269,6 +269,6 @@ def random_morphism(
     for slot in slots:
         r, c = target.dims[slot], source.dims[slot]
         base = offset[slot]
-        entries = [[values[base + i * c + j] for j in range(c)] for i in range(r)]
-        blocks[slot] = Matrix.from_rows(field, entries, c)
+        entries = tuple([tuple([values[base + i * c + j] for j in range(c)]) for i in range(r)])
+        blocks[slot] = Matrix._trusted(r, c, entries, field)
     return GradedMorphism(source, target, blocks)

@@ -22,7 +22,6 @@ produce byte-identical text.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field as dc_field
 
@@ -107,7 +106,7 @@ class PropertyResult:
     failures: int
     warnings: int = 0
     first_counterexample: str | None = None
-    # measured, kept out of the report text like SuiteReport.wall_time
+    # measured, kept out of the report text so reports stay byte-identical
     wall_time: float = dc_field(default=0.0, compare=False)
 
     @property
@@ -120,9 +119,6 @@ class SuiteReport:
     suite: str
     seed: int
     results: list[PropertyResult]
-    # measured but deliberately kept out of render_text/to_json so reports
-    # stay byte-identical across runs
-    wall_time: float = dc_field(default=0.0, compare=False)
 
     def ok(self) -> bool:
         return all(r.ok for r in self.results)
@@ -145,22 +141,6 @@ class SuiteReport:
         )
         return "\n".join(lines)
 
-    def to_json(self) -> dict:
-        return {
-            "suite": self.suite,
-            "seed": self.seed,
-            "properties": [
-                {
-                    "property": r.name,
-                    "trials": r.trials,
-                    "failures": r.failures,
-                    "warnings": r.warnings,
-                    "first_counterexample": r.first_counterexample,
-                }
-                for r in self.results
-            ],
-        }
-
 
 def render_reports(reports: list[SuiteReport]) -> str:
     body = "\n".join(rep.render_text() for rep in reports)
@@ -170,10 +150,6 @@ def render_reports(reports: list[SuiteReport]) -> str:
     )
     verdict = "OK" if failed == 0 else "FAILED"
     return f"{body}\n[verify] {verdict}: {total} properties, {failed} failed\n"
-
-
-def reports_to_json(reports: list[SuiteReport]) -> str:
-    return json.dumps([rep.to_json() for rep in reports], indent=2) + "\n"
 
 
 def _presentation_lines(q: WeightedQuiver, ideal: IdealPresentation | None = None) -> list[str]:
@@ -234,14 +210,13 @@ class _Recorder:
 
 
 def _run(suite: str, cfg: SuiteConfig, *props) -> SuiteReport:
-    started = time.perf_counter()
     results = []
     for prop in props:
-        prop_started = time.perf_counter()
+        started = time.perf_counter()
         result = prop(cfg)
-        result.wall_time = time.perf_counter() - prop_started
+        result.wall_time = time.perf_counter() - started
         results.append(result)
-    return SuiteReport(suite, cfg.seed, results, wall_time=time.perf_counter() - started)
+    return SuiteReport(suite, cfg.seed, results)
 
 
 # ---------------------------------------------------------------------------

@@ -225,9 +225,11 @@ class TestHilbert:
         assert out[-1] == "1200 1"
 
     def test_kxy_to_degree_20(self, kxy_file, capsys):
-        # k[x,y] with deg y = 2: the monomials x^i y^j with i + 2j = d
-        table = _hilbert_table([kxy_file, "--max-degree", "20"], capsys)
-        assert table == [(d, d // 2 + 1) for d in range(21)]
+        # k[x,y] with deg y = 2: the monomials x^i y^j with i + 2j = d; the
+        # README cites degree 200
+        for top in (20, 200):
+            table = _hilbert_table([kxy_file, "--max-degree", str(top)], capsys)
+            assert table == [(d, d // 2 + 1) for d in range(top + 1)]
 
     @pytest.mark.parametrize(
         "field, top", [([], 8), (["--field", "q"], 6)], ids=["default-prime", "rationals"]
@@ -240,11 +242,13 @@ class TestHilbert:
         assert table == [(d, comb(d + 2, 2)) for d in range(top + 1)]
 
     def test_commutative_three_variables_past_the_free_path_count(self, tmp_path, capsys):
-        # 3**11 free paths of degree 11 once stopped the table at degree 10
+        # 3**11 free paths of degree 11 once stopped the table at degree 10;
+        # the README cites degree 30
         p = tmp_path / "kxyz.quiver"
         p.write_text(KXYZ)
-        table = _hilbert_table([str(p), "--max-degree", "12"], capsys)
-        assert table == [(d, comb(d + 2, 2)) for d in range(13)]
+        for top in (12, 30):
+            table = _hilbert_table([str(p), "--max-degree", str(top)], capsys)
+            assert table == [(d, comb(d + 2, 2)) for d in range(top + 1)]
 
     def test_stats_go_to_stderr_only(self, tmp_path, capsys):
         p = tmp_path / "kxyz.quiver"
@@ -277,7 +281,9 @@ class TestHilbert:
         captured = capsys.readouterr()
         assert captured.out.splitlines() == [f"{d} {3 ** d}" for d in range(11)]
         assert captured.err.startswith("degree 11: more than 100000 normal paths")
-        assert "Traceback" not in captured.err
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.count("11") == 1
+        assert "raise" not in captured.err and "Traceback" not in captured.err
 
 
 class TestVerify:

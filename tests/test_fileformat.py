@@ -17,7 +17,7 @@ from quiver_regrade import PresentationError, fileformat, parse_presentation, se
 from quiver_regrade.fields import QQ
 from quiver_regrade.fileformat import Diagnostic
 from quiver_regrade.paths import Path, PathSum, multiply_paths, trivial_path
-from quiver_regrade.quiver import WeightedQuiver
+from quiver_regrade.quiver import WeightedQuiver, validate
 from quiver_regrade.catalog import kxy_presentation, kxy_split_presentation
 from quiver_regrade.randomgen import random_ideal, random_quiver, rng_for
 
@@ -164,6 +164,8 @@ class TestDiagnostics:
     def test_dangling_endpoint(self):
         ds = diagnostics_of("[quiver]\nvertex v\narrow x v w 1\n")
         assert any("undeclared target 'w'" in d.message for d in ds)
+        ds = diagnostics_of("[quiver]\nvertex v\narrow x w v 1\n")
+        assert any("undeclared source 'w'" in d.message for d in ds)
 
     def test_invalid_identifier(self):
         ds = diagnostics_of("[quiver]\nvertex 'v\n")
@@ -282,6 +284,36 @@ def test_parse_raises_only_presentation_error(text):
         parse_presentation(text)
     except PresentationError as exc:
         assert exc.diagnostics
+
+
+VERTICES = st.sampled_from(["u", "v", "w"])
+ARROW_LINE = st.builds(
+    "arrow {} {} {} {}".format, st.sampled_from(["a", "b", "c"]), VERTICES, VERTICES,
+    st.integers(-1, 3),
+)
+
+
+@st.composite
+def quiver_section(draw):
+    """A [quiver] section from a small pool of names, with random endpoints
+    and degrees in -1..3; sometimes its first vertex is declared twice."""
+    vertices = draw(st.lists(VERTICES, min_size=1, max_size=3, unique=True))
+    if draw(st.booleans()):
+        vertices.append(vertices[0])
+    lines = [f"vertex {v}" for v in vertices] + draw(st.lists(ARROW_LINE, max_size=3))
+    return "[quiver]\n" + "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=quiver_section())
+def test_parsed_quivers_pass_validate(text):
+    # the CLI runs no second structural check: the parser must reject every
+    # quiver that validate would report on
+    try:
+        q, _ = parse_presentation(text)
+    except PresentationError:
+        return
+    assert validate(q) == []
 
 
 # line 7 of this presentation is the relation under test

@@ -314,6 +314,18 @@ class TestGradedMorphism:
                 blocks={("u", 0): qmat([[1, 0]])},
             )
 
+    def test_fp_entries_given_unreduced_are_reduced(self):
+        # a shared identity factor returns the other factor as it is, so an
+        # unreduced -1 would fail the square against the multiplied-out 1 * -1
+        f = GF(7)
+        assert Matrix.from_rows(f, [[7]], 1) == Matrix.zero(f, 1, 1)
+        assert Matrix(1, 2, ((-1, Fraction(1, 2)),), f).entries == ((6, 4),)
+        q = WeightedQuiver(vertices=("u", "v"), arrows=(Arrow("a", "u", "v", 1),))
+        rep = GradedRep(q, DegreeWindow(0, 1), f, {("u", 0): 1, ("v", 1): 1},
+                        {("a", 0): Matrix.from_rows(f, [[-1]], 1)})
+        blocks = {("u", 0): Matrix.identity(f, 1), ("v", 1): Matrix.from_rows(f, [[1]], 1)}
+        assert GradedMorphism(rep, rep, blocks).block("v", 1) == Matrix.identity(f, 1)
+
     def test_compose(self, diag_rep, diag_identity):
         rng = rng_for("repr-compose", 0)
         phi = random_morphism(rng, diag_rep, diag_rep)

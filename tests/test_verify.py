@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import hashlib
-import json
 
 import pytest
 
@@ -16,7 +15,6 @@ from quiver_regrade import (
     SuiteReport,
     default_prime,
     render_reports,
-    reports_to_json,
     run_functor_suite,
     run_hilbert_suite,
     run_split_suite,
@@ -106,7 +104,6 @@ class TestDeterminism:
         cfg = SuiteConfig(seed=3, trials=5, max_degree=4)
         r1 = run_split_suite(cfg)
         r2 = run_split_suite(cfg)
-        assert r1.wall_time >= 0 and r2.wall_time >= 0
         assert r1 == r2
 
     def test_seed_changes_stream(self):
@@ -156,16 +153,6 @@ class TestRendering:
         )
         assert rep.ok()
         assert "warnings=2" in render_reports([rep])
-
-    def test_json(self, small_reports):
-        data = json.loads(reports_to_json(small_reports))
-        assert [d["suite"] for d in data] == ["split", "functor", "hilbert"]
-        for d in data:
-            assert d["seed"] == 0
-            for res in d["properties"]:
-                assert set(res) >= {"property", "trials", "failures", "warnings"}
-                assert res["failures"] == 0
-                assert res["first_counterexample"] is None
 
 
 class TestFailureReport:
