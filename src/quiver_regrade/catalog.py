@@ -79,6 +79,8 @@ def kxy_diagonal_rep(
     diagonal matrices, which commute, so x*y - y*x acts by zero wherever it
     can be evaluated.
     """
+    if dim < 0:
+        raise ValueError(f"negative dimension {dim}")
     q, _ = kxy_presentation()
     if rng is None:
         x_diag = [field.from_int(i + 1) for i in range(dim)]
@@ -102,4 +104,4 @@ def kxy_diagonal_rep(
             mats[("x", d)] = diagonal(x_diag)
         if window.contains(d + 2):
             mats[("y", d)] = diagonal(y_diag)
-    return GradedRep(q, window, field, dims, mats)
+    return GradedRep._trusted(q, window, field, dims, mats)

@@ -77,6 +77,9 @@ class PathSum:
 
     @staticmethod
     def make(field: Field, items: Iterable[tuple[Path, Scalar]]) -> "PathSum":
+        if field.char:  # F_p: an int modulo p, a Fraction through from_fraction
+            p, conv = field.p, field.from_fraction
+            items = [(path, conv(c) if isinstance(c, Fraction) else c % p) for path, c in items]
         acc: dict[Path, Scalar] = {}
         for path, coeff in items:
             if path in acc:

@@ -190,7 +190,7 @@ def random_rep(
             cols_n = dims[(a.source, d)]
             entries = tuple([tuple([draw() for _ in range(cols_n)]) for _ in range(rows_n)])
             mats[(a.name, d)] = Matrix._trusted(rows_n, cols_n, entries, field)
-    return GradedRep(q, window, field, dims, mats)
+    return GradedRep._trusted(q, window, field, dims, mats)
 
 
 def random_morphism(

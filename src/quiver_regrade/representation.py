@@ -73,7 +73,16 @@ Slot = tuple[str, int]
 
 @dataclass
 class GradedRep:
-    """Immutable by convention; construct fresh values instead of mutating."""
+    """Immutable by convention; construct fresh values instead of mutating.
+
+    The public constructor checks every table: each component names a
+    vertex of the quiver, lies in the window and has a nonnegative
+    dimension, and each block names an arrow, has both endpoint components,
+    the shape they give and the representation's field.  The library's own
+    builders (:func:`shift`, the split functors, kernels and cokernels, the
+    random and catalog representations) make their tables from inputs that
+    already passed those checks, and go through :meth:`_trusted` instead.
+    """
 
     quiver: WeightedQuiver
     window: DegreeWindow
@@ -107,6 +116,25 @@ class GradedRep:
                 )
             if m.field is not field and m.field != field:
                 raise ValueError(f"matrix for ({name!r}, {d}) is over the wrong field")
+
+    @staticmethod
+    def _trusted(
+        quiver: WeightedQuiver,
+        window: DegreeWindow,
+        field: Field,
+        dims: dict[Slot, int],
+        mats: dict[Slot, Matrix],
+    ) -> "GradedRep":
+        """A representation whose tables are known to pass the checks of
+        the public constructor: the fields are set without them."""
+        r = object.__new__(GradedRep)
+        d = r.__dict__
+        d["quiver"] = quiver
+        d["window"] = window
+        d["field"] = field
+        d["dims"] = dims
+        d["mats"] = mats
+        return r
 
     def dim(self, v: str, d: int) -> int | None:
         return self.dims.get((v, d))
@@ -175,7 +203,7 @@ def shift(rep: GradedRep, n: int) -> GradedRep:
     window = rep.window.shifted(n)
     dims = {(v, d - n): size for (v, d), size in rep.dims.items()}
     mats = {(a, d - n): m for (a, d), m in rep.mats.items()}
-    return GradedRep(rep.quiver, window, rep.field, dims, mats)
+    return GradedRep._trusted(rep.quiver, window, rep.field, dims, mats)
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +230,7 @@ def expand_rep(t: SplitTrace, rep: GradedRep) -> GradedRep:
     for (v, d), n in rep.dims.items():
         if v == b.source and (t.new_vertex, d + 1) in dims:
             mats[(t.first, d)] = Matrix.identity(rep.field, n)
-    return GradedRep(t.after, window, rep.field, dims, mats)
+    return GradedRep._trusted(t.after, window, rep.field, dims, mats)
 
 
 def collapse_rep(t: SplitTrace, rep: GradedRep) -> GradedRep:
@@ -219,7 +247,7 @@ def collapse_rep(t: SplitTrace, rep: GradedRep) -> GradedRep:
         second = rep.mats.get((t.second, d + 1))
         if second is not None:
             mats[(t.split_arrow, d)] = second.mul(first)
-    return GradedRep(t.before, rep.window, rep.field, dims, mats)
+    return GradedRep._trusted(t.before, rep.window, rep.field, dims, mats)
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +398,7 @@ def morphism_kernel(phi: GradedMorphism) -> tuple[GradedRep, GradedMorphism]:
         image = action.mul(b_s)
         # free_t is ascending and distinct: as long as the rows, it is all of them
         mats[(name, d)] = image if len(free_t) == image.rows else image.rows_at(free_t)
-    kernel = GradedRep(src.quiver, src.window, src.field, dims, mats)
+    kernel = GradedRep._trusted(src.quiver, src.window, src.field, dims, mats)
     inclusion = GradedMorphism(kernel, src, dict(basis))
     return kernel, inclusion
 
@@ -404,7 +432,7 @@ def morphism_cokernel(phi: GradedMorphism) -> tuple[GradedRep, GradedMorphism]:
         # free_s is ascending and distinct: as long as the columns, it is all of them
         at_free = action if len(free_s) == action.cols else action.cols_at(free_s)
         mats[(name, d)] = q_t.mul(at_free)
-    coker = GradedRep(tgt.quiver, tgt.window, tgt.field, dims, mats)
+    coker = GradedRep._trusted(tgt.quiver, tgt.window, tgt.field, dims, mats)
     projection = GradedMorphism(tgt, coker, dict(proj))
     return coker, projection
 

@@ -8,6 +8,7 @@ from quiver_regrade import (
     GF,
     QQ,
     DegreeWindow,
+    GradedRep,
     Matrix,
     collapse_morphism,
     collapse_rep,
@@ -19,6 +20,7 @@ from quiver_regrade import (
     expand_rep_along,
     morphism_cokernel,
     morphism_kernel,
+    pick_split_target,
     rank,
     regrade,
     satisfies,
@@ -31,7 +33,7 @@ from quiver_regrade.catalog import (
     kxy_presentation,
     kxy_split_presentation,
 )
-from quiver_regrade.randomgen import random_morphism, random_rep, rng_for
+from quiver_regrade.randomgen import random_morphism, random_quiver, random_rep, rng_for
 
 FIELD = GF(32003)
 
@@ -245,3 +247,62 @@ class TestIteratedTraces:
         up = expand_rep_along([kxy_trace], diag_rep)
         assert up == expand_rep(kxy_trace, diag_rep)
         assert collapse_rep_along([kxy_trace], up) == diag_rep
+
+
+# ---------------------------------------------------------------------------
+# the library's builders skip the checks of the public constructor
+
+
+BUILDER_WINDOW = DegreeWindow(-1, 4)
+
+
+def _drawn(rng, field, q):
+    return random_rep(rng, q, BUILDER_WINDOW, field, max_dim=3)
+
+
+def _split(rng):
+    q = random_quiver(rng, require_heavy=True)
+    return q, split_arrow(q, pick_split_target(q))
+
+
+def _expanded(rng, field):
+    q, t = _split(rng)
+    return [expand_rep(t, _drawn(rng, field, q))]
+
+
+def _collapsed(rng, field):
+    _, t = _split(rng)
+    return [collapse_rep(t, _drawn(rng, field, t.after))]
+
+
+def _kernels_and_cokernels(take, rng, field):
+    """``take`` (kernel or cokernel) of a drawn morphism and of a counit."""
+    q, t = _split(rng)
+    phi = random_morphism(rng, _drawn(rng, field, q), _drawn(rng, field, q))
+    return [take(phi)[0], take(counit(t, _drawn(rng, field, t.after)))[0]]
+
+
+BUILDERS = {
+    "random_rep": lambda rng, field: [_drawn(rng, field, _split(rng)[0])],
+    "shift": lambda rng, field: [
+        shift(_drawn(rng, field, _split(rng)[0]), rng.choice([-2, -1, 1, 2]))
+    ],
+    "expand_rep": _expanded,
+    "collapse_rep": _collapsed,
+    "morphism_kernel": lambda rng, field: _kernels_and_cokernels(morphism_kernel, rng, field),
+    "morphism_cokernel": lambda rng, field: _kernels_and_cokernels(morphism_cokernel, rng, field),
+    "kxy_diagonal_rep": lambda rng, field: [
+        kxy_diagonal_rep(BUILDER_WINDOW, field, rng.randint(0, 3), rng)
+    ],
+}
+
+
+@pytest.mark.parametrize("field", [QQ, FIELD], ids=lambda f: f.spec)
+@pytest.mark.parametrize("builder", sorted(BUILDERS))
+def test_builder_output_passes_the_checked_constructor(builder, field):
+    """Every builder makes its output without the constructor's checks, so
+    rebuild that output through them: each vertex, window slot, arrow, block
+    shape and field must hold, and the rebuilt value must be equal."""
+    for seed in range(30):
+        for r in BUILDERS[builder](rng_for("functors-checked-builders", builder, seed), field):
+            assert GradedRep(r.quiver, r.window, r.field, dict(r.dims), dict(r.mats)) == r

@@ -10,12 +10,15 @@ from quiver_regrade import (
     GF,
     IdealPresentation,
     PathCountLimit,
+    PathSum,
     QQ,
+    UniformElement,
     enumerate_paths,
     graded_dim,
     graded_dim_naive,
     hilbert_table,
     parse_presentation,
+    trivial_path,
 )
 from quiver_regrade.catalog import heavy_loop_quiver, kxy_presentation, kxy_split_presentation
 from quiver_regrade.randomgen import random_ideal, random_quiver, rng_for
@@ -383,3 +386,46 @@ class TestCornerIdentity:
             hilbert_table(q, ideal, 2, target="ghost")
         with pytest.raises(KeyError, match="ghost"):
             graded_dim_naive(q, ideal, 2, target="ghost")
+
+
+class TestQuotientByCorner:
+    """For the same e, A'/A'eA' is finite dimensional, so it dies in QGr and
+    QGr A is QGr A'.  Its table is that of the regraded presentation with e_v
+    added for every original vertex v, which leaves the fresh vertices of the
+    split chains.  An arrow b of degree g splits through g - 1 fresh vertices
+    in a line, so dim (A'/A'eA')_k is the sum of max(0, deg b - 1 - k) over
+    the original arrows b."""
+
+    TOP = 7
+
+    @staticmethod
+    def quotient(q, ideal, top, field=QQ):
+        split = regrade(q, ideal)
+        corner = [UniformElement.from_sum(PathSum.of_path(QQ, trivial_path(v))) for v in q.vertices]
+        gens = IdealPresentation.of([*split.final_ideal, *corner])
+        return _dims(split.final_quiver, gens, top, field=field)
+
+    @staticmethod
+    def closed_form(q, top):
+        return [sum(max(0, a.degree - 1 - k) for a in q.arrows) for k in range(top + 1)]
+
+    def test_kxy(self, kxy):
+        assert self.quotient(*kxy, self.TOP) == [1] + [0] * self.TOP
+
+    @pytest.mark.parametrize("field", [QQ, GF(32003)], ids=lambda f: f.spec)
+    def test_heavy_loop(self, field):
+        got = self.quotient(heavy_loop_quiver(9), IdealPresentation.of([]), 11, field)
+        assert got == [8, 7, 6, 5, 4, 3, 2, 1, 0, 0, 0, 0]
+
+    @pytest.mark.parametrize("field", [QQ, GF(32003)], ids=lambda f: f.spec)
+    def test_seeded_regrades_match_the_closed_form(self, field):
+        regraded = 0
+        for seed in range(300):
+            rng = rng_for("hilbert-corner-quotient", seed)
+            q = random_quiver(rng, max_vertices=3, max_arrows=4)
+            ideal = random_ideal(rng, q)
+            got = self.quotient(q, ideal, self.TOP, field)
+            assert got == self.closed_form(q, self.TOP), (seed, q, ideal)
+            assert got[-1] == 0, (seed, q)  # the top lies past every chain
+            regraded += got[0] > 0
+        assert regraded >= 250

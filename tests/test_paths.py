@@ -199,6 +199,22 @@ class TestPathSum:
         assert s.is_zero()
         assert s.terms == ()
 
+    def test_make_reduces_fp_coefficients(self, kxy):
+        q, _ = kxy
+        x, y = path_from_arrows(q, ["x"]), path_from_arrows(q, ["y"])
+        f = GF(7)
+        # a path met once is reduced as one met twice is
+        assert PathSum.make(f, [(x, 8)]).terms == ((x, 1),)
+        assert PathSum.make(f, [(x, 8)]) == PathSum.make(f, [(x, 1)])
+        assert PathSum.make(f, [(x, 8), (x, 0)]) == PathSum.make(f, [(x, -6)])
+        assert PathSum.make(f, [(x, 14)]).is_zero()
+        # a Fraction goes through from_fraction: 1/2 is 4 mod 7
+        s = PathSum.make(f, [(x, Fraction(1, 2)), (y, Fraction(-3))])
+        assert s.terms == ((x, 4), (y, 4))
+        assert all(type(c) is int for _, c in s.terms)
+        # the rationals keep their coefficients as given
+        assert PathSum.make(QQ, [(x, Fraction(8))]).terms == ((x, Fraction(8)),)
+
     def test_add_sub_scale(self, kxy):
         q, _ = kxy
         x = PathSum.of_path(QQ, path_from_arrows(q, ["x"]))

@@ -137,6 +137,30 @@ class TestGradedRepValidation:
                 mats={("a", 0): qmat([[1, 0]])},
             )
 
+    def test_block_over_another_field_rejected(self, line_quiver):
+        with pytest.raises(ValueError, match="wrong field"):
+            GradedRep(
+                quiver=line_quiver,
+                window=DegreeWindow(0, 3),
+                field=QQ,
+                dims={("u", 0): 2, ("v", 1): 1},
+                mats={("a", 0): Matrix.from_rows(GF(7), [[1, 2]])},
+            )
+
+    def test_block_for_unknown_arrow_names_it(self, line_quiver):
+        with pytest.raises(KeyError, match="no arrow named 'ghost'"):
+            GradedRep(
+                quiver=line_quiver,
+                window=DegreeWindow(0, 3),
+                field=QQ,
+                dims={("u", 0): 2, ("v", 1): 1},
+                mats={("ghost", 0): qmat([[1, 2]])},
+            )
+
+    def test_catalog_rep_rejects_negative_dimension(self, small_window):
+        with pytest.raises(ValueError, match="negative dimension"):
+            kxy_diagonal_rep(small_window, QQ, -1)
+
     def test_accessors(self, line_rep):
         assert line_rep.dim("u", 0) == 2
         assert line_rep.dim("u", 1) is None
