@@ -116,10 +116,13 @@ class PrimeField:
         return n % self.p
 
     def from_fraction(self, fr: Fraction) -> int:
-        den = fr.denominator % self.p
+        num, den = fr.as_integer_ratio()
+        if den == 1:
+            return num % self.p
+        den %= self.p
         if den == 0:
             raise ZeroDivisionError(f"denominator of {fr} vanishes mod {self.p}")
-        return fr.numerator * pow(den, self.p - 2, self.p) % self.p
+        return num * pow(den, self.p - 2, self.p) % self.p
 
     def add(self, a: int, b: int) -> int:
         return (a + b) % self.p

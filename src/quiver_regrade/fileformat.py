@@ -23,8 +23,10 @@ Every diagnostic carries a 1-based line and column.  Parsing collects as
 many diagnostics as it can before raising.  A relation whose terms mix
 degrees is rejected; one whose terms mix endpoints at a single degree is
 silently refined into its uniform components, which generate the same
-two-sided ideal.  Each term's path is built once, when the term ends, so
-the parse is linear in the length of the line.
+two-sided ideal.  The tokens of a line are read once, as plain strings from
+one regex call, and each term's path is built once, when the term ends, so
+the parse is linear in the length of the line.  A token's column is
+computed only when a diagnostic is raised.
 """
 
 from __future__ import annotations
@@ -32,6 +34,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
+from operator import itemgetter
 
 from .fields import QQ
 from .paths import (
@@ -77,6 +81,11 @@ _AT_END = {
 _SIGN = {"+": (1, Fraction(1)), "-": (-1, Fraction(-1))}  # (factor, unit coefficient)
 
 
+def _column(text: str, index: int) -> int:
+    """1-based column of the ``index``-th token of ``text``, for a diagnostic."""
+    return next(islice(_TOKEN.finditer(text), index, None)).start() + 1
+
+
 def _parse_expression(text: str, line: int, q: WeightedQuiver) -> PathSum:
     """One relation: ``['-'] term (('+' | '-') term)*`` with
     ``term = [coefficient '*'] atom ('*' atom)*``.  The whole line is scanned
@@ -85,76 +94,80 @@ def _parse_expression(text: str, line: int, q: WeightedQuiver) -> PathSum:
     def fail(col: int, message: str):
         raise PresentationError([Diagnostic(line, col, message)])
 
-    tokens = [(m.lastgroup, m.group(), m.start() + 1) for m in _TOKEN.finditer(text)]
-    for kind, tok, col in tokens:
-        if kind == "other":
-            fail(col, f"unexpected character {tok!r}")
+    def fail_at(i: int, message: str):
+        fail(_column(text, i), message)
+
+    # one (ident, number, op, other) tuple of strings per token, one of them
+    # nonempty; a term records the index of its first token
+    tokens = _TOKEN.findall(text)
+    if any(map(itemgetter(3), tokens)):
+        i = next(i for i, tok in enumerate(tokens) if tok[3])
+        fail_at(i, f"unexpected character {tokens[i][3]!r}")
     arrow_map, vertices = q.arrow_map, q.vertex_set
-    terms: list[tuple[Path, Fraction, int]] = []  # (path, signed coeff, start col)
+    terms: list[tuple[Path, Fraction, int]] = []  # (path, signed coeff, start index)
     # states: start, sign, coefficient, factor (after a '*'), path.  A term is
     # read as its source (None before its first atom), running end vertex,
-    # degree and arrow names; its path is built once, when the term ends
-    state, source, (sign, coeff) = "start", None, _SIGN["+"]
-    for kind, tok, col in tokens:
-        if state in ("start", "sign"):
-            start_col = col
+    # degree and arrow names; its path is built once, when the term ends.
+    # The next term starts at the token after a sign
+    state, start, source, (sign, coeff) = "start", 0, None, _SIGN["+"]
+    for i, (ident, number, op, _) in enumerate(tokens):
         if state == "path":
-            if tok == "*":
+            if op == "*":
                 state = "factor"
                 continue
-            if kind != "op":
-                fail(col, f"expected '+' or '-', got {tok!r}")
-            terms.append((Path(source, end, degree, tuple(names)), coeff, start_col))
-            state, source, (sign, coeff) = "sign", None, _SIGN[tok]
+            if not op:
+                fail_at(i, f"expected '+' or '-', got {ident or number!r}")
+            terms.append((Path(source, end, degree, tuple(names)), coeff, start))
+            state, start, source, (sign, coeff) = "sign", i + 1, None, _SIGN[op]
         elif state == "coefficient":
-            if tok != "*":
-                fail(col, "a coefficient must be followed by '*' and a path")
+            if op != "*":
+                fail_at(i, "a coefficient must be followed by '*' and a path")
             state = "factor"
-        elif state == "start" and tok == "-":
-            state, (sign, coeff) = "sign", _SIGN["-"]
-        elif kind == "number" and state != "factor":
-            num, _, den = tok.partition("/")
-            try:
-                coeff = Fraction(sign * int(num), int(den or 1))
-            except ZeroDivisionError:
-                fail(col, f"coefficient {tok} has a zero denominator")
-            except ValueError:  # past the interpreter's limit on integer digits
-                fail(col, f"coefficient of {len(tok)} characters is too long")
-            state = "coefficient"
-        elif kind != "ident":
-            fail(col, f"expected an arrow or trivial path, got {tok!r}")
-        else:
-            arrow = arrow_map.get(tok)
-            if arrow is None and not (tok.startswith("e_") and tok[2:] in vertices):
-                fail(col, f"unknown arrow or trivial path {tok!r}")
-            head = tok[2:] if arrow is None else arrow.source
+        elif ident:
+            arrow = arrow_map.get(ident)
+            if arrow is None and not (ident.startswith("e_") and ident[2:] in vertices):
+                fail_at(i, f"unknown arrow or trivial path {ident!r}")
+            head = ident[2:] if arrow is None else arrow.source
             if source is None:
                 source, end, degree, names = head, head, 0, []
             elif end != head:
-                fail(
-                    col,
+                fail_at(
+                    i,
                     f"paths do not compose: previous factor ends at "
-                    f"{end!r}, {tok!r} starts at {head!r}",
+                    f"{end!r}, {ident!r} starts at {head!r}",
                 )
             if arrow is not None:  # a trivial path keeps the end vertex
                 end, degree = arrow.target, degree + arrow.degree
-                names.append(tok)
+                names.append(ident)
             state = "path"
+        elif number and state != "factor":
+            num, _, den = number.partition("/")
+            try:
+                coeff = Fraction(sign * int(num), int(den or 1))
+            except ZeroDivisionError:
+                fail_at(i, f"coefficient {number} has a zero denominator")
+            except ValueError:  # past the interpreter's limit on integer digits
+                fail_at(i, f"coefficient of {len(number)} characters is too long")
+            state = "coefficient"
+        elif state == "start" and op == "-":
+            state, start, (sign, coeff) = "sign", i + 1, _SIGN["-"]
+        else:
+            fail_at(i, f"expected an arrow or trivial path, got {number or op!r}")
     if state != "path":
         fail(len(text), _AT_END[state])
-    terms.append((Path(source, end, degree, tuple(names)), coeff, start_col))
+    terms.append((Path(source, end, degree, tuple(names)), coeff, start))
 
     degree = terms[0][0].degree
-    for path, _, col in terms[1:]:
+    for path, _, i in terms[1:]:
         if path.degree != degree:
-            fail(
-                col,
+            fail_at(
+                i,
                 f"mixed degrees in one relation: this term has degree "
                 f"{path.degree}, the first has degree {degree}",
             )
     total = PathSum.make(QQ, [(p, c) for p, c, _ in terms])
     if total.is_zero():
-        fail(terms[0][2], "relation is identically zero")
+        fail_at(terms[0][2], "relation is identically zero")
     return total
 
 

@@ -70,6 +70,13 @@ def multiply_paths(p: Path, q: Path) -> Path | None:
     return Path(p.source, q.target, p.degree + q.degree, p.arrows + q.arrows)
 
 
+def term_key(term: tuple[Path, Scalar]):
+    """The canonical order of a sum's terms: by the path's degree, source,
+    target and arrow sequence."""
+    p = term[0]
+    return (p.degree, p.source, p.target, p.arrows)
+
+
 @dataclass(frozen=True)
 class PathSum:
     field: Field
@@ -81,15 +88,12 @@ class PathSum:
             p, conv = field.p, field.from_fraction
             items = [(path, conv(c) if isinstance(c, Fraction) else c % p) for path, c in items]
         acc: dict[Path, Scalar] = {}
+        get, add = acc.get, field.add
         for path, coeff in items:
-            if path in acc:
-                acc[path] = field.add(acc[path], coeff)
-            else:
-                acc[path] = coeff
-        terms = tuple(
-            (p, c) for p, c in sorted(acc.items(), key=lambda t: t[0].sort_key())
-            if not field.is_zero(c)
-        )
+            prev = get(path)
+            acc[path] = coeff if prev is None else add(prev, coeff)
+        is_zero = field.is_zero
+        terms = tuple(sorted([t for t in acc.items() if not is_zero(t[1])], key=term_key))
         return PathSum(field, terms)
 
     @staticmethod
@@ -227,10 +231,17 @@ def uniform_components(x: PathSum) -> list[UniformElement]:
     leaves it: its terms then come grouped and sorted, so each bucket is a
     canonical sum as it stands.
     """
+    terms = x.terms
+    if not terms:
+        return []
+    first, last = terms[0][0], terms[-1][0]
+    if (first.degree, first.source, first.target) == (last.degree, last.source, last.target):
+        # sorted terms that agree at both ends agree throughout
+        return [UniformElement(x, first.source, first.target, first.degree)]
     return [
         UniformElement(PathSum(x.field, tuple(bucket)), source, target, degree)
         for (degree, source, target), bucket in groupby(
-            x.terms, key=lambda t: (t[0].degree, t[0].source, t[0].target)
+            terms, key=lambda t: (t[0].degree, t[0].source, t[0].target)
         )
     ]
 

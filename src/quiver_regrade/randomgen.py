@@ -204,12 +204,12 @@ def random_morphism(
     the square vec(phi_t A - B phi_s) = (A^T (x) I) vec phi_t - (I (x) B)
     vec phi_s = 0 gives one sparse row per entry.  The rows go into an
     :class:`Echelon` by ascending last column, which keeps the fill-in low.
-    After back substitution the pivot map is the reduced row echelon form of
-    the row space, which is unique for this column numbering whatever order
+    The free columns, those without a pivot, depend only on the row space,
+    and so does the one solution with given free coordinates, whatever order
     the rows came in.  So the random point is reproducible: one
     ``random_scalar`` per free column in ascending order is its coordinate,
-    and each pivot unknown is minus the combination of those coordinates
-    that its reduced row names.
+    and each pivot unknown is solved from its echelon row, in descending
+    pivot order, with no back substitution.
     """
     if source.quiver != target.quiver or source.window != target.window:
         raise ValueError("morphism endpoints must share quiver and window")
@@ -258,13 +258,15 @@ def random_morphism(
     ech = Echelon(field)
     for row in sorted(rows, key=max):
         ech.add(row)
-    ech.back_substitute()
     pivots = ech.pivots
     draw = _scalar_draw(rng, field)
     values = {c: draw() for c in range(nvars) if c not in pivots}
-    for pc, prow in pivots.items():
-        free = [k for k in prow if k != pc]
-        values[pc] = field.neg(field.dot([values[k] for k in free], [prow[k] for k in free]))
+    # a pivot row's other unknowns lie to its right, so in descending pivot
+    # order each of them is drawn or solved already
+    for pc in sorted(pivots, reverse=True):
+        prow = pivots[pc]
+        rest = [k for k in prow if k != pc]
+        values[pc] = field.neg(field.dot([values[k] for k in rest], [prow[k] for k in rest]))
     blocks: dict[Slot, Matrix] = {}
     for slot in slots:
         r, c = target.dims[slot], source.dims[slot]

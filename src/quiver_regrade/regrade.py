@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from operator import attrgetter
 
-from .paths import IdealPresentation, Path, UniformElement
+from .paths import IdealPresentation, Path, PathSum, UniformElement, term_key
 from .quiver import Arrow, WeightedQuiver, weight_discrepancy
 
 # A split costs O(log n) index work plus one tuple copy per vertex and arrow
@@ -165,8 +165,14 @@ def _expand(p: Path, sub: Substitution) -> Path:
 
 
 def _transport(x: UniformElement, sub: Substitution) -> UniformElement:
-    moved = x.sum.map_paths(lambda p: _expand(p, sub))
-    return UniformElement(moved, x.source, x.target, x.degree)
+    """``x`` with ``sub`` applied to every path, still canonical.
+
+    The substitution is injective on paths and ``x`` is canonical, so the
+    moved terms are distinct and nonzero already: one sort restores the
+    canonical order, with no merging of terms.
+    """
+    moved = tuple(sorted([(_expand(p, sub), c) for p, c in x.sum.terms], key=term_key))
+    return UniformElement(PathSum(x.sum.field, moved), x.source, x.target, x.degree)
 
 
 def _transport_ideal(ideal: IdealPresentation, sub: Substitution) -> IdealPresentation:

@@ -69,6 +69,17 @@ class TestPrimeField:
         with pytest.raises((ZeroDivisionError, ValueError)):
             f.from_fraction(Fraction(1, 7))
 
+    @pytest.mark.parametrize("p", [2, 7, 32003, 4294967311])
+    def test_from_fraction_matches_general_formula(self, p):
+        # an integer skips the inverse; the general formula is num * den^(p-2)
+        f = GF(p)
+        nums = [0, 1, -1, 5, -5, p, -p, 3 * p, -3 * p, p - 1, 1 - p, p + 1, 2**70 + 1, -(2**70)]
+        for fr in [Fraction(n, d) for n in nums for d in (1, 3, 5, 2 * p + 1)]:
+            assert f.from_fraction(fr) == fr.numerator * pow(fr.denominator, p - 2, p) % p
+        for fr in (Fraction(1, p), Fraction(-5, 3 * p), Fraction(p + 1, p * p)):
+            with pytest.raises(ZeroDivisionError):
+                f.from_fraction(fr)
+
     def test_composite_rejected(self):
         with pytest.raises(ValueError):
             GF(6)

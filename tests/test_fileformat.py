@@ -558,3 +558,32 @@ def test_trivial_path_composition(relation, expected):
         assert [str(d) for d in outcome] == [expected]
     else:
         assert [str(g.sum) for g in outcome[1]] == [expected]
+
+
+# diagnostics late in a long line: the column is found only when one is raised
+@pytest.mark.parametrize(
+    "relation, col, message",
+    [
+        ("*".join(["x"] * 5000) + "/", 10_000, "unexpected character '/'"),
+        (" + ".join(["x*x"] * 2000) + " - 2*y'*v", 12_001, "mixed degrees"),
+        (" - ".join(["x*x"] * 2000) + " + 1/0*x*x", 12_001, "zero denominator"),
+    ],
+    ids=["slash-after-5000-factors", "mixed-degree-term-2001", "zero-denominator-term-2001"],
+)
+def test_late_diagnostic_columns(relation, col, message):
+    text = DIFFERENTIAL_QUIVER.replace("x*y'*v - 2/3*y'*v*x", relation)
+    with mock.patch.object(fileformat, "_parse_expression", _reference_parse_expression):
+        reference = _outcome(text)
+    (d,) = _outcome(text)
+    assert [d] == reference
+    assert (d.line, d.col) == (8, col)
+    assert message in d.message
+
+
+def test_no_column_computed_without_a_diagnostic():
+    relation = " + ".join(["x*x*x"] * 200) + " - 2/3*y'*v"
+    text = DIFFERENTIAL_QUIVER.replace("x*y'*v - 2/3*y'*v*x", relation)
+    with mock.patch.object(fileformat, "_column", side_effect=AssertionError) as column:
+        _, ideal = parse_presentation(text)
+    assert column.call_count == 0
+    assert [str(g.sum) for g in ideal] == ["200*x*x*x - 2/3*y'*v"]

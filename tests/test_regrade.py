@@ -258,6 +258,27 @@ class TestOnePassTransport:
             q = random_quiver(rng, require_heavy=True)
             self.assert_matches_sequential(q, random_ideal(rng, q))
 
+    def test_transported_sums_are_canonical(self):
+        # sequential_ideal shares the transport, so it cannot see a sum that
+        # comes out unsorted or with two terms on one path; PathSum.make can
+        presentations = []
+        for seed in range(240):
+            rng = rng_for("regrade-one-pass", seed)
+            q = random_quiver(rng, require_heavy=True)
+            presentations.append((q, random_ideal(rng, q)))
+        presentations += [parse_presentation(COLLIDING), parse_presentation(REUSED)]
+        checked = 0
+        for q, ideal in presentations:
+            r = regrade(q, ideal)
+            gens = list(r.final_ideal)
+            for t in r.trace:
+                ideal = rewrite_ideal(t, ideal)
+                gens.extend(ideal)
+            for g in gens:
+                assert PathSum.make(g.sum.field, g.sum.terms) == g.sum
+                checked += len(g.sum.terms) > 1
+        assert checked > 500
+
     def test_catalog_and_golden(self, golden_dir):
         rng = rng_for("regrade-one-pass-catalog", 0)
         for q, ideal in (
