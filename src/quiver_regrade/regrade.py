@@ -6,8 +6,11 @@ weight discrepancy by exactly one.  Paths and relations are transported by
 the degree-preserving rewrite that expands each occurrence of b into the two
 halves.  Iterating the split on a deterministically chosen arrow reaches a
 quiver whose arrows all have degree 1 in exactly discrepancy-many steps.
-The splits of one regrade are made on one running quiver that stays sorted
-and indexed between splits, so a split neither re-sorts nor re-indexes it.
+The splits of one regrade are made on one running vertex and arrow list
+that stays sorted and indexed between splits, and the only quiver they
+build is the last one.  Each step of the trace records its split, and its
+``before`` and ``after`` quivers are built from those records the first
+time they are read.
 
 The full regrade runs its splits on the quiver alone and transports the
 relations once, at the end, through the composite substitution that sends
@@ -27,12 +30,12 @@ from operator import attrgetter
 from .paths import IdealPresentation, Path, PathSum, UniformElement, term_key
 from .quiver import Arrow, WeightedQuiver, weight_discrepancy
 
-# A split costs O(log n) index work plus one tuple copy per vertex and arrow
-# list, but every split's quiver stays in the trace and the names of one
-# loop's halves grow by a prime per split, so regrade memory and output grow
-# quadratically with the discrepancy.  Through the CLI (2-core host, Python
-# 3.11) one loop of discrepancy 1000 regrades in 0.3 s at 38 MB peak RSS, and
-# of discrepancy 2000 in 0.45 s at 103 MB, writing 16 MB.
+# A split costs O(log n) index work plus list inserts, and a regrade builds
+# one quiver, but the names of one loop's halves grow by a prime per split,
+# so regrade output grows quadratically with the discrepancy, and so does
+# the memory of a trace whose every quiver is read.  Through the CLI (2-core
+# host, Python 3.11) one loop of discrepancy 2000 regrades in 0.12 s at
+# 72 MB peak RSS, writing 16 MB.
 MAX_DISCREPANCY = 2000
 
 
@@ -46,6 +49,15 @@ class DiscrepancyLimit(SplitError):
 
 @dataclass(frozen=True)
 class SplitTrace:
+    """One split: ``split_arrow`` (the arrow ``arrow``) became ``first`` into
+    the fresh vertex ``new_vertex`` and ``second`` out of it.
+
+    A step of a ``regrade`` trace starts without its ``before`` and
+    ``after`` attributes; ``__getattr__`` builds each from its run's
+    ``_History`` the first time it is read and keeps it, so the step then
+    compares and hashes like one made by this constructor.
+    """
+
     split_arrow: str
     arrow: Arrow
     new_vertex: str
@@ -53,6 +65,14 @@ class SplitTrace:
     second: str
     before: WeightedQuiver
     after: WeightedQuiver
+
+    def __getattr__(self, name: str) -> WeightedQuiver:
+        # runs only for an attribute not yet set
+        if name not in ("before", "after"):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        history, k = self.__dict__["_history"]
+        q = self.__dict__[name] = history.quiver(k + (name == "after"))
+        return q
 
 
 @dataclass(frozen=True)
@@ -63,6 +83,81 @@ class RegradeResult:
 
 
 _name = attrgetter("name")
+
+# One split as it acts on the sorted lists: the index and the arrow it
+# removes, the fresh vertex and the two halves.  Undoing it puts that arrow
+# back at that index, so a backward replay restores each list exactly.
+_Split = tuple[int, Arrow, str, tuple[Arrow, Arrow]]
+
+
+def _apply(vertices: list[str], arrows: list[Arrow], split: _Split) -> None:
+    i, _, z, halves = split
+    del arrows[i]
+    insort(vertices, z)
+    for half in halves:
+        insort(arrows, half, key=_name)
+
+
+def _undo(vertices: list[str], arrows: list[Arrow], split: _Split) -> None:
+    i, removed, z, halves = split
+    for half in halves:
+        del arrows[bisect_left(arrows, half.name, key=_name)]
+    arrows.insert(i, removed)
+    del vertices[bisect_left(vertices, z)]
+
+
+class _History:
+    """The quivers of one run of splits, each built when it is first read.
+
+    ``quivers[k]`` is the quiver after the first k splits, or None until it
+    is read; ``quivers[0]`` is the input itself.  A quiver is built by
+    replaying ``splits``, in a loop, from the nearest built quiver on either
+    side, so a trace read backwards, as ``collapse_rep_along`` reads it,
+    costs one replayed split per quiver.  The replay works on sorted lists:
+    from the input it starts on sorted copies, since the input's own tuples
+    may be in any order, and every other built quiver is sorted already.
+    """
+
+    def __init__(self, q: WeightedQuiver) -> None:
+        self.splits: list[_Split] = []
+        self.quivers: list[WeightedQuiver | None] = [q]
+
+    def record(self, name: str, arrow: Arrow, split: _Split) -> SplitTrace:
+        """Append one split and return its step, with no quiver built."""
+        _, _, z, (first, second) = split
+        self.splits.append(split)
+        self.quivers.append(None)
+        step = object.__new__(SplitTrace)
+        vars(step).update(
+            split_arrow=name, arrow=arrow, new_vertex=z, first=first.name, second=second.name,
+            _history=(self, len(self.splits) - 1),
+        )
+        return step
+
+    def quiver(self, k: int) -> WeightedQuiver:
+        quivers = self.quivers
+        if (q := quivers[k]) is not None:
+            return q
+        lo = k - 1
+        while quivers[lo] is None:
+            lo -= 1
+        hi = k + 1
+        while hi < len(quivers) and quivers[hi] is None:
+            hi += 1
+        if hi < len(quivers) and hi - k < k - lo:
+            vertices, arrows = list(quivers[hi].vertices), list(quivers[hi].arrows)
+            for split in reversed(self.splits[k:hi]):
+                _undo(vertices, arrows, split)
+        else:
+            start = quivers[lo]
+            if lo == 0:
+                vertices, arrows = sorted(start.vertices), sorted(start.arrows, key=_name)
+            else:
+                vertices, arrows = list(start.vertices), list(start.arrows)
+            for split in self.splits[lo:k]:
+                _apply(vertices, arrows, split)
+        q = quivers[k] = WeightedQuiver(tuple(vertices), tuple(arrows))
+        return q
 
 
 def _z_name(i: int) -> str:
@@ -78,8 +173,8 @@ class _Splitter:
     picks, and an index ``z`` below which every name of ``z``, ``z1``, ``z2``,
     ... is taken; ``skipped`` holds the index of each name it stepped past,
     so a split that frees one moves ``z`` back.  A split updates all of them
-    in O(log n) steps plus list inserts, and its ``after`` quiver is one
-    tuple copy per list.
+    in O(log n) steps plus list inserts and records itself in ``history``;
+    it builds no quiver.  ``close`` builds the quiver after the last split.
 
     The fresh vertex is the first free name of ``z``, ``z1``, ``z2``, ...;
     the halves of ``b`` are ``b'`` and ``b''``, or ``b'i`` and ``b''i`` for
@@ -87,7 +182,6 @@ class _Splitter:
     """
 
     def __init__(self, q: WeightedQuiver) -> None:
-        self.quiver = q
         self.vertices = sorted(q.vertices)
         self.vertex_set = set(self.vertices)
         self.arrows = sorted(q.arrows, key=_name)
@@ -97,6 +191,7 @@ class _Splitter:
         heapify(self.heap)
         self.z = 0
         self.skipped: dict[str, int] = {}
+        self.history = _History(q)
 
     def split(self, name: str) -> SplitTrace:
         arrow = self.arrow_map.get(name)
@@ -119,26 +214,23 @@ class _Splitter:
                 i += 1
             first, second = f"{first}{i}", f"{second}{i}"
 
+        at = bisect_left(self.arrows, name, key=_name)
+        halves = Arrow(first, arrow.source, z, 1), Arrow(second, z, arrow.target, arrow.degree - 1)
+        split = at, self.arrows[at], z, halves
+        _apply(self.vertices, self.arrows, split)
         del self.arrow_map[name]
-        del self.arrows[bisect_left(self.arrows, name, key=_name)]
         if name not in self.vertex_set:
             taken.discard(name)
             # a freed z-name below the index is the first free one again
             self.z = min(self.z, self.skipped.get(name, self.z))
-        insort(self.vertices, z)
         self.vertex_set.add(z)
         taken.add(z)
-        halves = Arrow(first, arrow.source, z, 1), Arrow(second, z, arrow.target, arrow.degree - 1)
         for half in halves:
-            insort(self.arrows, half, key=_name)
             self.arrow_map[half.name] = half
             taken.add(half.name)
         if arrow.degree > 2:
             heappush(self.heap, (1 - arrow.degree, second))
-
-        before = self.quiver
-        self.quiver = WeightedQuiver(tuple(self.vertices), tuple(self.arrows))
-        return SplitTrace(name, arrow, z, first, second, before, self.quiver)
+        return self.history.record(name, arrow, split)
 
     def split_all(self) -> list[SplitTrace]:
         """Split the arrow ``pick_split_target`` picks until none is left."""
@@ -147,10 +239,19 @@ class _Splitter:
             trace.append(self.split(heappop(self.heap)[1]))
         return trace
 
+    def close(self) -> WeightedQuiver:
+        """Build the quiver after the last split from the running lists."""
+        q = self.history.quivers[-1] = WeightedQuiver(tuple(self.vertices), tuple(self.arrows))
+        return q
+
 
 def split_arrow(q: WeightedQuiver, name: str) -> SplitTrace:
     """Split one arrow of degree >= 2; degree-1 splits are a hard error."""
-    return _Splitter(q).split(name)
+    splitter = _Splitter(q)
+    t = splitter.split(name)
+    # both quivers exist already, so the step needs no replay
+    vars(t).update(before=q, after=splitter.close())
+    return t
 
 
 Substitution = dict[str, tuple[str, ...]]
@@ -214,15 +315,19 @@ def regrade(q: WeightedQuiver, ideal: IdealPresentation) -> RegradeResult:
 
     The splits run on the quiver alone, in exactly weight_discrepancy(q)
     steps of one ``_Splitter``, each on the arrow ``pick_split_target``
-    would pick.  Folding the trace backwards then gives the composite
-    substitution b -> b_1 ... b_d from each original arrow to the chain of
-    final arrows it became, and the relations are rewritten once through
-    it.  This gives the same ideal, term for term, as rewriting at every
-    split: the chains of distinct original arrows are disjoint, so no two
-    paths meet and no coefficient cancels, and the terms of each relation
-    are sorted on their final paths either way.  An input already generated
-    in degree 1 comes back unchanged with an empty trace.  A discrepancy
-    above MAX_DISCREPANCY raises DiscrepancyLimit before the first split.
+    would pick, and the only quiver they build is the final one.  Each
+    step's ``before`` and ``after`` are built when first read, replayed from
+    the recorded splits; ``trace[0].before`` is ``q`` itself and
+    ``trace[k].after`` is ``trace[k + 1].before``.  Folding the trace
+    backwards then gives the composite substitution b -> b_1 ... b_d from
+    each original arrow to the chain of final arrows it became, and the
+    relations are rewritten once through it.  This gives the same ideal,
+    term for term, as rewriting at every split: the chains of distinct
+    original arrows are disjoint, so no two paths meet and no coefficient
+    cancels, and the terms of each relation are sorted on their final paths
+    either way.  An input already generated in degree 1 comes back
+    unchanged with an empty trace.  A discrepancy above MAX_DISCREPANCY
+    raises DiscrepancyLimit before the first split.
     """
     discrepancy = weight_discrepancy(q)
     if discrepancy > MAX_DISCREPANCY:
@@ -230,14 +335,16 @@ def regrade(q: WeightedQuiver, ideal: IdealPresentation) -> RegradeResult:
             f"weight discrepancy {discrepancy} is above the regrade bound "
             f"{MAX_DISCREPANCY}: regrading makes one split per unit of discrepancy"
         )
-    trace = _Splitter(q).split_all()
+    splitter = _Splitter(q)
+    trace = splitter.split_all()
     assert len(trace) == discrepancy
     if not trace:
         return RegradeResult(q, ideal, ())
+    final = splitter.close()
     # Backwards, sub maps each arrow of t.after to its final chain.  Both
     # halves are fresh for t.before, so they are popped before an earlier
     # split can reuse their names.
     sub: Substitution = {}
     for t in reversed(trace):
         sub[t.split_arrow] = sub.pop(t.first, (t.first,)) + sub.pop(t.second, (t.second,))
-    return RegradeResult(trace[-1].after, _transport_ideal(ideal, sub), tuple(trace))
+    return RegradeResult(final, _transport_ideal(ideal, sub), tuple(trace))

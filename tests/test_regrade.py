@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import importlib
+import pickle
 import random
 from dataclasses import fields
 from fractions import Fraction
@@ -37,6 +39,7 @@ from quiver_regrade.catalog import (
     kxy_presentation,
     kxy_split_presentation,
 )
+from quiver_regrade.cli import render_regrade
 from quiver_regrade.randomgen import random_ideal, random_quiver, rng_for
 
 # the package exports the function `regrade`, so fetch the module by name
@@ -446,3 +449,79 @@ class TestSplitSteps:
         r = self.assert_steps(q, empty_ideal)
         assert [t.new_vertex for t in r.trace] == ["z1", "z2"]
         assert validate(r.final_quiver) == []
+
+
+def split_chain(q, names):
+    """One fresh ``split_arrow`` per name, each on the last one's ``after``."""
+    chain = []
+    for name in names:
+        chain.append(split_arrow(q, name))
+        q = chain[-1].after
+    return chain
+
+
+class TestLazyTrace:
+    """A regrade builds only its final quiver; each step's ``before`` and
+    ``after`` are built when first read, in any order, and are then the same
+    values a split made eagerly gives."""
+
+    # neither tuple is sorted, so a replay must start from sorted copies
+    UNSORTED = WeightedQuiver(
+        ("w", "u"),
+        (Arrow("y", "u", "w", 3), Arrow("b", "w", "u", 2), Arrow("a", "u", "u", 1)),
+    )
+
+    @pytest.mark.parametrize("order", ["forward", "backward", "middle_first"])
+    def test_unsorted_input_matches_split_chain(self, order, empty_ideal):
+        r = regrade(self.UNSORTED, empty_ideal)
+        chain = split_chain(self.UNSORTED, [t.split_arrow for t in r.trace])
+        ks = list(range(len(r.trace)))
+        ks = {"forward": ks, "backward": ks[::-1], "middle_first": [1, 0, 2]}[order]
+        for k in ks:
+            t = r.trace[k]
+            # hashed and compared before anything else reads its quivers
+            assert hash(t) == hash(chain[k]) and t == chain[k]
+            assert t == rebuilt_split(t.before, t.split_arrow)
+        assert r.trace[0].before is self.UNSORTED
+        assert r.trace[-1].after is r.final_quiver
+
+    def test_unread_step_copies_and_pickles(self, empty_ideal):
+        t = regrade(self.UNSORTED, empty_ideal).trace[1]
+        assert copy.copy(t) == t
+        assert pickle.loads(pickle.dumps(t)) == t
+        with pytest.raises(AttributeError):
+            t.no_such_field
+
+    def test_last_step_read_first_at_the_bound(self, empty_ideal):
+        degree = regrade_module.MAX_DISCREPANCY + 1
+        loop = WeightedQuiver(("v",), (Arrow("x", "v", "v", degree),))
+        r = regrade(loop, empty_ideal)
+        assert len(r.trace) == degree - 1
+        last = r.trace[-1].before
+        assert len(last.vertices) == degree - 1
+        # long replays: 999 splits undone from ``last``, then 500 redone from q
+        middle, quarter = r.trace[1000].before, r.trace[500].before
+        for k in range(len(r.trace) - 1):
+            assert r.trace[k].after is r.trace[k + 1].before
+        assert r.trace[-1].before is last
+        assert r.trace[1000].before is middle and r.trace[500].before is quarter
+        assert r.trace[-1].after == r.final_quiver
+        for k in (0, 1, 500, 999, 1000, len(r.trace) - 2, len(r.trace) - 1):
+            t = r.trace[k]
+            assert t == split_arrow(t.before, t.split_arrow)
+
+    def test_unread_trace_builds_one_quiver(self, monkeypatch):
+        built = []
+
+        def counted(*args):
+            built.append(WeightedQuiver(*args))
+            return built[-1]
+
+        q, ideal = large_shape_presentation()
+        monkeypatch.setattr(regrade_module, "WeightedQuiver", counted)
+        r = regrade(q, ideal)
+        render_regrade(r)
+        assert len(r.trace) == 174
+        assert len(built) == 1 and built[0] is r.final_quiver
+        r.trace[100].after
+        assert len(built) == 2
