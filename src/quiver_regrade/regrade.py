@@ -55,7 +55,9 @@ class SplitTrace:
     A step of a ``regrade`` trace starts without its ``before`` and
     ``after`` attributes; ``__getattr__`` builds each from its run's
     ``_History`` the first time it is read and keeps it, so the step then
-    compares and hashes like one made by this constructor.
+    compares and hashes like one made by this constructor.  Once both are
+    set the step lets go of the history, and a copy or pickle of a step
+    holds its seven fields only.
     """
 
     split_arrow: str
@@ -68,11 +70,18 @@ class SplitTrace:
 
     def __getattr__(self, name: str) -> WeightedQuiver:
         # runs only for an attribute not yet set
-        if name not in ("before", "after"):
+        d = self.__dict__
+        if name not in ("before", "after") or "_history" not in d:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        history, k = self.__dict__["_history"]
-        q = self.__dict__[name] = history.quiver(k + (name == "after"))
+        history, k = d["_history"]
+        q = d[name] = history.quiver(k + (name == "after"))
+        if "before" in d and "after" in d:
+            # with both quivers set the step no longer needs its run
+            del d["_history"]
         return q
+
+    def __getstate__(self) -> dict[str, object]:
+        return {name: getattr(self, name) for name in self.__dataclass_fields__}
 
 
 @dataclass(frozen=True)
@@ -85,8 +94,7 @@ class RegradeResult:
 _name = attrgetter("name")
 
 # One split as it acts on the sorted lists: the index and the arrow it
-# removes, the fresh vertex and the two halves.  Undoing it puts that arrow
-# back at that index, so a backward replay restores each list exactly.
+# removes, the fresh vertex and the two halves.
 _Split = tuple[int, Arrow, str, tuple[Arrow, Arrow]]
 
 
@@ -98,66 +106,48 @@ def _apply(vertices: list[str], arrows: list[Arrow], split: _Split) -> None:
         insort(arrows, half, key=_name)
 
 
-def _undo(vertices: list[str], arrows: list[Arrow], split: _Split) -> None:
-    i, removed, z, halves = split
-    for half in halves:
-        del arrows[bisect_left(arrows, half.name, key=_name)]
-    arrows.insert(i, removed)
-    del vertices[bisect_left(vertices, z)]
-
-
 class _History:
     """The quivers of one run of splits, each built when it is first read.
 
-    ``quivers[k]`` is the quiver after the first k splits, or None until it
-    is read; ``quivers[0]`` is the input itself.  A quiver is built by
-    replaying ``splits``, in a loop, from the nearest built quiver on either
-    side, so a trace read backwards, as ``collapse_rep_along`` reads it,
-    costs one replayed split per quiver.  The replay works on sorted lists:
-    from the input it starts on sorted copies, since the input's own tuples
-    may be in any order, and every other built quiver is sorted already.
+    ``quivers`` holds the quivers read so far after the first 0, 1, 2, ...
+    splits, ``quivers[0]`` being the input itself, and ``final`` is the
+    quiver after the last split.  Reading a quiver past them replays
+    ``splits`` forward, in a loop, on running sorted lists, and keeps every
+    quiver on the way, so each costs one tuple copy of the lists.  The
+    lists start as sorted copies of the input, since its own tuples may be
+    in any order.
     """
 
     def __init__(self, q: WeightedQuiver) -> None:
         self.splits: list[_Split] = []
-        self.quivers: list[WeightedQuiver | None] = [q]
+        self.quivers = [q]
+        self.final = q
+        self.lists: tuple[list[str], list[Arrow]] | None = None
 
-    def record(self, name: str, arrow: Arrow, split: _Split) -> SplitTrace:
+    def record(self, split: _Split) -> SplitTrace:
         """Append one split and return its step, with no quiver built."""
-        _, _, z, (first, second) = split
+        _, arrow, z, (first, second) = split
         self.splits.append(split)
-        self.quivers.append(None)
         step = object.__new__(SplitTrace)
         vars(step).update(
-            split_arrow=name, arrow=arrow, new_vertex=z, first=first.name, second=second.name,
-            _history=(self, len(self.splits) - 1),
+            split_arrow=arrow.name, arrow=arrow, new_vertex=z, first=first.name,
+            second=second.name, _history=(self, len(self.splits) - 1),
         )
         return step
 
     def quiver(self, k: int) -> WeightedQuiver:
         quivers = self.quivers
-        if (q := quivers[k]) is not None:
-            return q
-        lo = k - 1
-        while quivers[lo] is None:
-            lo -= 1
-        hi = k + 1
-        while hi < len(quivers) and quivers[hi] is None:
-            hi += 1
-        if hi < len(quivers) and hi - k < k - lo:
-            vertices, arrows = list(quivers[hi].vertices), list(quivers[hi].arrows)
-            for split in reversed(self.splits[k:hi]):
-                _undo(vertices, arrows, split)
-        else:
-            start = quivers[lo]
-            if lo == 0:
-                vertices, arrows = sorted(start.vertices), sorted(start.arrows, key=_name)
-            else:
-                vertices, arrows = list(start.vertices), list(start.arrows)
-            for split in self.splits[lo:k]:
-                _apply(vertices, arrows, split)
-        q = quivers[k] = WeightedQuiver(tuple(vertices), tuple(arrows))
-        return q
+        if k < len(quivers):
+            return quivers[k]
+        if k == len(self.splits):
+            return self.final
+        if self.lists is None:
+            self.lists = sorted(quivers[0].vertices), sorted(quivers[0].arrows, key=_name)
+        vertices, arrows = self.lists
+        for split in self.splits[len(quivers) - 1 : k]:
+            _apply(vertices, arrows, split)
+            quivers.append(WeightedQuiver(tuple(vertices), tuple(arrows)))
+        return quivers[k]
 
 
 def _z_name(i: int) -> str:
@@ -173,7 +163,7 @@ class _Splitter:
     picks, and an index ``z`` below which every name of ``z``, ``z1``, ``z2``,
     ... is taken; ``skipped`` holds the index of each name it stepped past,
     so a split that frees one moves ``z`` back.  A split updates all of them
-    in O(log n) steps plus list inserts and records itself in ``history``;
+    in O(log n) steps plus list inserts and returns its ``_Split`` record;
     it builds no quiver.  ``close`` builds the quiver after the last split.
 
     The fresh vertex is the first free name of ``z``, ``z1``, ``z2``, ...;
@@ -191,9 +181,8 @@ class _Splitter:
         heapify(self.heap)
         self.z = 0
         self.skipped: dict[str, int] = {}
-        self.history = _History(q)
 
-    def split(self, name: str) -> SplitTrace:
+    def split(self, name: str) -> _Split:
         arrow = self.arrow_map.get(name)
         if arrow is None:
             raise SplitError(f"unknown arrow {name!r}")
@@ -230,28 +219,26 @@ class _Splitter:
             taken.add(half.name)
         if arrow.degree > 2:
             heappush(self.heap, (1 - arrow.degree, second))
-        return self.history.record(name, arrow, split)
+        return split
 
-    def split_all(self) -> list[SplitTrace]:
-        """Split the arrow ``pick_split_target`` picks until none is left."""
+    def split_all(self, history: _History) -> list[SplitTrace]:
+        """Split the arrow ``pick_split_target`` picks until none is left,
+        recording each split in ``history``."""
         trace = []
         while self.heap:
-            trace.append(self.split(heappop(self.heap)[1]))
+            trace.append(history.record(self.split(heappop(self.heap)[1])))
         return trace
 
     def close(self) -> WeightedQuiver:
         """Build the quiver after the last split from the running lists."""
-        q = self.history.quivers[-1] = WeightedQuiver(tuple(self.vertices), tuple(self.arrows))
-        return q
+        return WeightedQuiver(tuple(self.vertices), tuple(self.arrows))
 
 
 def split_arrow(q: WeightedQuiver, name: str) -> SplitTrace:
     """Split one arrow of degree >= 2; degree-1 splits are a hard error."""
     splitter = _Splitter(q)
-    t = splitter.split(name)
-    # both quivers exist already, so the step needs no replay
-    vars(t).update(before=q, after=splitter.close())
-    return t
+    _, arrow, z, (first, second) = splitter.split(name)
+    return SplitTrace(name, arrow, z, first.name, second.name, q, splitter.close())
 
 
 Substitution = dict[str, tuple[str, ...]]
@@ -335,12 +322,12 @@ def regrade(q: WeightedQuiver, ideal: IdealPresentation) -> RegradeResult:
             f"weight discrepancy {discrepancy} is above the regrade bound "
             f"{MAX_DISCREPANCY}: regrading makes one split per unit of discrepancy"
         )
-    splitter = _Splitter(q)
-    trace = splitter.split_all()
+    splitter, history = _Splitter(q), _History(q)
+    trace = splitter.split_all(history)
     assert len(trace) == discrepancy
     if not trace:
         return RegradeResult(q, ideal, ())
-    final = splitter.close()
+    final = history.final = splitter.close()
     # Backwards, sub maps each arrow of t.after to its final chain.  Both
     # halves are fresh for t.before, so they are popped before an earlier
     # split can reuse their names.

@@ -486,11 +486,23 @@ class TestLazyTrace:
         assert r.trace[-1].after is r.final_quiver
 
     def test_unread_step_copies_and_pickles(self, empty_ideal):
-        t = regrade(self.UNSORTED, empty_ideal).trace[1]
-        assert copy.copy(t) == t
-        assert pickle.loads(pickle.dumps(t)) == t
+        trace = regrade(self.UNSORTED, empty_ideal).trace
+        copies = [
+            copy.copy(trace[0]), copy.deepcopy(trace[1]), pickle.loads(pickle.dumps(trace[2]))
+        ]
+        for t, c in zip(trace, copies):
+            # a copy holds the seven fields, not the run's other quivers
+            assert set(vars(c)) == {f.name for f in fields(SplitTrace)}
+            assert c == t
+        # with both quivers read, a step lets go of its run
+        assert "_history" not in vars(trace[0])
         with pytest.raises(AttributeError):
-            t.no_such_field
+            trace[0].no_such_field
+
+    def test_step_without_history_raises_attribute_error(self):
+        t = object.__new__(SplitTrace)
+        assert getattr(t, "before", None) is None
+        assert not hasattr(t, "after")
 
     def test_last_step_read_first_at_the_bound(self, empty_ideal):
         degree = regrade_module.MAX_DISCREPANCY + 1
@@ -499,7 +511,7 @@ class TestLazyTrace:
         assert len(r.trace) == degree - 1
         last = r.trace[-1].before
         assert len(last.vertices) == degree - 1
-        # long replays: 999 splits undone from ``last``, then 500 redone from q
+        # one replay of 1999 splits built every quiver up to ``last``
         middle, quarter = r.trace[1000].before, r.trace[500].before
         for k in range(len(r.trace) - 1):
             assert r.trace[k].after is r.trace[k + 1].before
@@ -523,5 +535,8 @@ class TestLazyTrace:
         render_regrade(r)
         assert len(r.trace) == 174
         assert len(built) == 1 and built[0] is r.final_quiver
+        # a read replays forward from q and keeps every quiver on the way
         r.trace[100].after
-        assert len(built) == 2
+        assert len(built) == 102
+        assert r.trace[50].before is built[50]
+        assert len(built) == 102
