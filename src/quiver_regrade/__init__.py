@@ -33,7 +33,7 @@ from .hilbert import (
     graded_dim_naive,
     hilbert_table,
 )
-from .linalg import Matrix, nullspace, rank, rank_naive, rref
+from .linalg import Matrix, kernel_basis, rank, rank_naive
 from .paths import (
     IdealPresentation,
     Path,

@@ -100,8 +100,8 @@ def render_regrade(result: RegradeResult) -> str:
             f"degree 1), {t.second} ({t.new_vertex} -> {b.target}, "
             f"degree {b.degree - 1})"
         )
-    text = serialize_presentation(result.final_quiver, result.final_ideal)
-    return "\n".join(lines) + "\n" + text
+    lines.append(serialize_presentation(result.final_quiver, result.final_ideal))
+    return "\n".join(lines)
 
 
 def _cmd_validate(args) -> int:

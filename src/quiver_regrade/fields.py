@@ -115,7 +115,8 @@ class PrimeField:
     def from_int(self, n: int) -> int:
         return n % self.p
 
-    def from_fraction(self, fr: Fraction) -> int:
+    def from_fraction(self, fr: Scalar) -> int:
+        """The element of F_p that the int or Fraction ``fr`` stands for."""
         num, den = fr.as_integer_ratio()
         if den == 1:
             return num % self.p

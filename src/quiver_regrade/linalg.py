@@ -4,16 +4,15 @@ Matrices are immutable row-major tuples of scalars.  The public
 constructors, ``Matrix(...)`` and :meth:`Matrix.from_rows`, check that every
 row has the stated length and reduce each F_p entry into ``range(p)``;
 rational entries are kept as given.  Results the module builds
-itself - of ``mul``/``add``/``sub``/``scale``/``neg``/``transpose``/
-``rows_at``/``cols_at``, ``zero``, ``identity``, :func:`rref` and the kernel
-bases that :func:`nullspace` assembles - are canonical and well formed by
-construction and go through one private trusted constructor that skips
-those steps.  ``Matrix.identity`` hands back one shared object per field
-and size, and ``Matrix.zero`` one per field and shape.  Both caches are
-keyed by the ``id()`` of the field, so a lookup never hashes it; the cached
-matrix holds its field, so that id is never reused.  Two fields that are
-equal but distinct objects (``PrimeField(p)`` and ``GF(p)``) get distinct,
-equal matrices.
+itself - of ``mul``/``add``/``scale``/``transpose``/``rows_at``/``cols_at``,
+``zero``, ``identity`` and the bases of :func:`kernel_basis` - are
+canonical and well formed by construction and go through one private
+trusted constructor that skips those steps.  ``Matrix.identity`` hands back
+one shared object per field and size, and ``Matrix.zero`` one per field and
+shape.  Both caches are keyed by the ``id()`` of the field, so a lookup
+never hashes it; the cached matrix holds its field, so that id is never
+reused.  Two fields that are equal but distinct objects (``PrimeField(p)``
+and ``GF(p)``) get distinct, equal matrices.
 
 Four trivial cases are answered without arithmetic, after the field and
 shape checks: a product with an empty dimension is ``Matrix.zero``; a
@@ -26,16 +25,16 @@ Whether a matrix is a shared identity is one lookup of its ``id()``.
 Elimination is done twice, by independently coded routines:
 
 * :class:`Echelon` - the one elimination kernel.  Rows go in sparse, as
-  ``{col: scalar}``, and the reduced form comes out as a pivot map from each
+  ``{col: scalar}``, and the echelon form comes out as a pivot map from each
   pivot column to its monic row.  It is written only against the field
   interface, so the rationals and every prime field share it.
-  :func:`rank_of_rows` feeds it sparse rows as they are generated;
-  :func:`rank`, :func:`rref` and :func:`nullspace` sparsify a
-  :class:`Matrix` and read their answer off the pivot map.  A kernel basis
-  is the identity on its free columns, so a vector in the kernel is
-  recovered from its entries there; no solver for ``a X = b`` is needed.
-  The same basis of the transpose, transposed, is a cokernel projection:
-  it kills the column space and is the identity on its free columns.
+  :meth:`Echelon.solve` is its one solver: it completes values given at the
+  columns without a pivot to the one solution of the stored rows.
+  :func:`rank` counts pivots; :func:`kernel_basis` solves once per free
+  column with a one there, so the basis is the identity on its free columns
+  and a vector in the kernel is recovered from its entries there.  The same
+  basis of the transpose, transposed, is a cokernel projection: it kills
+  the column space and is the identity on its free columns.
 * :func:`rank_naive` - a deliberately plain textbook Gaussian elimination
   with division on dense rows, used as a second opinion in verification.
   Keep it free of code shared with :class:`Echelon`.
@@ -44,9 +43,8 @@ Elimination is done twice, by independently coded routines:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .fields import Field, Scalar
 
@@ -65,12 +63,9 @@ class Matrix:
             if len(row) != self.cols:
                 raise ValueError(f"ragged row: expected {self.cols} columns")
         f = self.field
-        if f.char:  # F_p: an int modulo p, a Fraction through from_fraction
-            p, conv = f.p, f.from_fraction
-            entries = tuple(
-                [tuple([conv(a) if isinstance(a, Fraction) else a % p for a in row])
-                 for row in self.entries]
-            )
+        if f.char:  # F_p: every entry into range(p)
+            conv = f.from_fraction
+            entries = tuple([tuple(map(conv, row)) for row in self.entries])
             object.__setattr__(self, "entries", entries)
 
     @staticmethod
@@ -118,9 +113,6 @@ class Matrix:
             _IDENTITY_IDS.add(id(m))
         return m
 
-    def get(self, i: int, j: int) -> Scalar:
-        return self.entries[i][j]
-
     def rows_at(self, indices: Sequence[int]) -> "Matrix":
         """The submatrix formed by the rows at ``indices``, in that order."""
         e = self.entries
@@ -167,30 +159,14 @@ class Matrix:
         )
         return Matrix._trusted(self.rows, self.cols, out, self.field)
 
-    def sub(self, other: "Matrix") -> "Matrix":
-        self._same_shape(other)
-        sub = self.field.sub
-        out = tuple(
-            [tuple([sub(a, b) for a, b in zip(ra, rb)]) for ra, rb in zip(self.entries, other.entries)]
-        )
-        return Matrix._trusted(self.rows, self.cols, out, self.field)
-
     def scale(self, c: Scalar) -> "Matrix":
         mul = self.field.mul
         out = tuple([tuple([mul(c, a) for a in row]) for row in self.entries])
         return Matrix._trusted(self.rows, self.cols, out, self.field)
 
-    def neg(self) -> "Matrix":
-        neg = self.field.neg
-        out = tuple([tuple([neg(a) for a in row]) for row in self.entries])
-        return Matrix._trusted(self.rows, self.cols, out, self.field)
-
     def is_zero(self) -> bool:
         f = self.field
         return all(f.is_zero(a) for row in self.entries for a in row)
-
-    def column(self, j: int) -> tuple[Scalar, ...]:
-        return tuple(self.entries[i][j] for i in range(self.rows))
 
     def _same_shape(self, other: "Matrix"):
         self._same_field(other)
@@ -273,35 +249,35 @@ class Echelon:
         self.pivots[c] = {k: mul(inv, v) for k, v in row.items()}
         return True
 
-    def back_substitute(self) -> None:
-        """Clear every pivot column above its pivot: the reduced form."""
-        pivots = self.pivots
-        for c in sorted(pivots, reverse=True):  # larger pivots first: less fill-in
-            lead = pivots[c].pop(c)
-            pivots[c] = {c: lead, **self.reduce(pivots[c])}
+    def solve(self, values: dict[int, Scalar]) -> dict[int, Scalar]:
+        """The one solution of the stored rows that takes ``values``, given at
+        every column without a pivot; the pivot columns are added to a copy.
 
-
-def rank_of_rows(field: Field, rows: Iterable[dict[int, Scalar]], ncols: int) -> int:
-    """Rank of a family of sparse rows ``{col: scalar}`` over ``ncols`` columns.
-
-    Rows are consumed lazily and no further row is drawn once the rank
-    reaches ``ncols``.
-    """
-    ech = Echelon(field)
-    r = 0
-    if ncols > 0:
-        for row in rows:
-            r += ech.add(row)
-            if r >= ncols:
-                break
-    return r
+        A pivot row's other columns lie to its right, so in descending pivot
+        order each of them is given or solved already.
+        """
+        f, pivots = self.field, self.pivots
+        neg, dot = f.neg, f.dot
+        x = dict(values)
+        for c in sorted(pivots, reverse=True):
+            row = pivots[c]
+            rest = [k for k in row if k != c]
+            x[c] = neg(dot([x[k] for k in rest], [row[k] for k in rest]))
+        return x
 
 
 def rank(m: Matrix) -> int:
+    """Rank of ``m``; no further row is reduced once it reaches ``m.cols``."""
     if id(m) in _IDENTITY_IDS:
         return m.rows
     f = m.field
-    return rank_of_rows(f, (_sparse(f, row) for row in m.entries), m.cols)
+    ech = Echelon(f)
+    r = 0
+    for row in m.entries:
+        if r == m.cols:
+            break
+        r += ech.add(_sparse(f, row))
+    return r
 
 
 def rank_naive(m: Matrix) -> int:
@@ -332,54 +308,27 @@ def rank_naive(m: Matrix) -> int:
 
 
 # ---------------------------------------------------------------------------
-# reduced row echelon form and nullspace
+# kernel bases
 
 
-def _reduced(field: Field, rows: Iterable[Sequence[Scalar]]) -> dict[int, dict[int, Scalar]]:
-    """Reduced row echelon form of dense ``rows``: pivot column -> monic row."""
-    ech = Echelon(field)
-    for row in rows:
-        ech.add(_sparse(field, row))
-    ech.back_substitute()
-    return ech.pivots
+def kernel_basis(m: Matrix) -> tuple[Matrix, list[int]]:
+    """A basis of the right kernel {x : m x = 0}, as columns, and its free
+    columns, ascending.
 
-
-def rref(m: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and pivot column indices."""
-    f = m.field
-    red = _reduced(f, m.entries)
-    pivots = sorted(red)
-    rows = [tuple(red[c].get(j, f.zero) for j in range(m.cols)) for c in pivots]
-    rows += [(f.zero,) * m.cols] * (m.rows - len(pivots))
-    return Matrix._trusted(m.rows, m.cols, tuple(rows), f), pivots
-
-
-def _kernel_basis(m: Matrix) -> tuple[Matrix, list[int]]:
-    """:func:`nullspace` of ``m`` and its free columns, ascending.
-
-    Column k of the basis is a one at ``free[k]``, minus column ``free[k]``
-    of the reduced form at the pivot coordinates, zero elsewhere; so the rows
-    of the basis at the free columns form the identity.
+    Column k of the basis is the solution with a one at ``free[k]`` and zero
+    at the other free columns; so the rows of the basis at the free columns
+    form the identity.
     """
     f = m.field
     if id(m) in _IDENTITY_IDS:
         return Matrix.zero(f, m.cols, 0), []
-    red = _reduced(f, m.entries)
-    if not red:
+    ech = Echelon(f)
+    for row in m.entries:
+        ech.add(_sparse(f, row))
+    if not ech.pivots:
         return Matrix.identity(f, m.cols), list(range(m.cols))
-    zero, one, neg = f.zero, f.one, f.neg
-    free = [c for c in range(m.cols) if c not in red]
-    rows = tuple(
-        [
-            tuple([neg(red[i].get(c, zero)) for c in free])
-            if i in red
-            else tuple([one if i == c else zero for c in free])
-            for i in range(m.cols)
-        ]
-    )
+    zero, one = f.zero, f.one
+    free = [c for c in range(m.cols) if c not in ech.pivots]
+    cols = [ech.solve({c: one if c == k else zero for c in free}) for k in free]
+    rows = tuple([tuple([x[i] for x in cols]) for i in range(m.cols)])
     return Matrix._trusted(m.cols, len(free), rows, f), free
-
-
-def nullspace(m: Matrix) -> Matrix:
-    """Columns form a basis of the right kernel {x : m x = 0}."""
-    return _kernel_basis(m)[0]

@@ -11,7 +11,6 @@ sums have identical serializations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import groupby
 from typing import Iterable, Sequence
 
@@ -84,9 +83,9 @@ class PathSum:
 
     @staticmethod
     def make(field: Field, items: Iterable[tuple[Path, Scalar]]) -> "PathSum":
-        if field.char:  # F_p: an int modulo p, a Fraction through from_fraction
-            p, conv = field.p, field.from_fraction
-            items = [(path, conv(c) if isinstance(c, Fraction) else c % p) for path, c in items]
+        if field.char:  # F_p: every coefficient into range(p)
+            conv = field.from_fraction
+            items = [(path, conv(c)) for path, c in items]
         acc: dict[Path, Scalar] = {}
         get, add = acc.get, field.add
         for path, coeff in items:

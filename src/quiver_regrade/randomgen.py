@@ -8,9 +8,11 @@ commuting-square conditions are linear in the block entries and have
 Kronecker structure, vec(phi_t A - B phi_s) = (A^T (x) I) vec phi_t -
 (I (x) B) vec phi_s, so each arrow block contributes sparse rows for the
 shared :class:`~quiver_regrade.linalg.Echelon` kernel; no dense system is
-ever built.  The reduced row echelon form of that system is unique for the
-fixed numbering of the unknowns, so drawing one scalar per free unknown, in
-ascending order, replays the same morphism from the same seed.  This can
+ever built.  For the fixed numbering of the unknowns, the free unknowns (those
+without a pivot) and the one solution with given free values depend only on
+the row space, so drawing one scalar per free unknown, in ascending order,
+and completing them with :meth:`~quiver_regrade.linalg.Echelon.solve`
+replays the same morphism from the same seed.  This can
 legitimately produce the zero morphism when the space is small; callers who
 need nonzero morphisms should retry with another trial.
 """
@@ -208,8 +210,7 @@ def random_morphism(
     and so does the one solution with given free coordinates, whatever order
     the rows came in.  So the random point is reproducible: one
     ``random_scalar`` per free column in ascending order is its coordinate,
-    and each pivot unknown is solved from its echelon row, in descending
-    pivot order, with no back substitution.
+    and :meth:`Echelon.solve` completes it to the pivot unknowns.
     """
     if source.quiver != target.quiver or source.window != target.window:
         raise ValueError("morphism endpoints must share quiver and window")
@@ -258,15 +259,8 @@ def random_morphism(
     ech = Echelon(field)
     for row in sorted(rows, key=max):
         ech.add(row)
-    pivots = ech.pivots
     draw = _scalar_draw(rng, field)
-    values = {c: draw() for c in range(nvars) if c not in pivots}
-    # a pivot row's other unknowns lie to its right, so in descending pivot
-    # order each of them is drawn or solved already
-    for pc in sorted(pivots, reverse=True):
-        prow = pivots[pc]
-        rest = [k for k in prow if k != pc]
-        values[pc] = field.neg(field.dot([values[k] for k in rest], [prow[k] for k in rest]))
+    values = ech.solve({c: draw() for c in range(nvars) if c not in ech.pivots})
     blocks: dict[Slot, Matrix] = {}
     for slot in slots:
         r, c = target.dims[slot], source.dims[slot]

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .fields import Field
-from .linalg import Matrix, _kernel_basis
+from .linalg import Matrix, kernel_basis
 from .paths import IdealPresentation, Path, UniformElement
 from .quiver import WeightedQuiver
 from .regrade import SplitTrace
@@ -385,7 +385,7 @@ def morphism_kernel(phi: GradedMorphism) -> tuple[GradedRep, GradedMorphism]:
     basis: dict[Slot, Matrix] = {}
     free: dict[Slot, list[int]] = {}
     for key, block in phi.blocks.items():
-        ker, free[key] = _kernel_basis(block)
+        ker, free[key] = kernel_basis(block)
         dims[key] = ker.cols
         basis[key] = ker
     mats: dict[Slot, Matrix] = {}
@@ -419,7 +419,7 @@ def morphism_cokernel(phi: GradedMorphism) -> tuple[GradedRep, GradedMorphism]:
     proj: dict[Slot, Matrix] = {}
     free: dict[Slot, list[int]] = {}
     for key, block in phi.blocks.items():
-        ker, free[key] = _kernel_basis(block.transpose())
+        ker, free[key] = kernel_basis(block.transpose())
         dims[key] = ker.cols
         proj[key] = ker.transpose()
     mats: dict[Slot, Matrix] = {}

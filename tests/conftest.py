@@ -21,6 +21,49 @@ GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 SRC_DIR = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
+def dense_rref(m: Matrix) -> tuple[list[list], list[int]]:
+    """The reduced row echelon form of ``m`` as dense rows, zero rows last,
+    and its pivot columns: plain Gauss-Jordan elimination on lists.
+
+    A reference for the tests of the sparse ``linalg.Echelon`` kernel and of
+    what is built on it, so it shares no code with it.
+    """
+    f = m.field
+    work = [list(row) for row in m.entries]
+    pivots: list[int] = []
+    for c in range(m.cols):
+        r = len(pivots)
+        found = [i for i in range(r, m.rows) if not f.is_zero(work[i][c])]
+        if not found:
+            continue
+        work[r], work[found[0]] = work[found[0]], work[r]
+        inv = f.inv(work[r][c])
+        work[r] = [f.mul(inv, a) for a in work[r]]
+        for i in range(m.rows):
+            coef = work[i][c]
+            if i != r and not f.is_zero(coef):
+                work[i] = [f.sub(a, f.mul(coef, b)) for a, b in zip(work[i], work[r])]
+        pivots.append(c)
+    return work, pivots
+
+
+def dense_nullspace(m: Matrix) -> Matrix:
+    """A basis of {x : m x = 0} read off :func:`dense_rref`: column k has a one
+    at the k-th free column, zeros at the others, and minus that column of
+    the reduced form at the pivot columns."""
+    f = m.field
+    red, pivots = dense_rref(m)
+    cols = []
+    for fc in (c for c in range(m.cols) if c not in pivots):
+        vec = [f.zero] * m.cols
+        vec[fc] = f.one
+        for r, pc in enumerate(pivots):
+            vec[pc] = f.neg(red[r][fc])
+        cols.append(vec)
+    entries = tuple(tuple(col[i] for col in cols) for i in range(m.cols))
+    return Matrix(m.cols, len(cols), entries, f)
+
+
 @pytest.fixture(scope="session", autouse=True)
 def src_on_subprocess_path():
     """Fresh interpreters that tests start import the package from src/, as

@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from math import comb
 from pathlib import Path
 
@@ -16,8 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quiver_regrade import parse_presentation, weight_discrepancy
-from quiver_regrade.cli import main
+from quiver_regrade import parse_presentation, regrade, weight_discrepancy
+from quiver_regrade.cli import main, render_regrade
 from quiver_regrade.regrade import MAX_DISCREPANCY
 
 KXY = "[quiver]\nvertex v\narrow x v v 1\narrow y v v 2\n\n[relations]\nx*y - y*x\n"
@@ -166,6 +167,20 @@ class TestRegrade:
         assert hashlib.sha256(data).hexdigest() == (
             "c8695c32834f159903a933b49de3850d422fdfcd0549cc5239af3def184eea10"
         )
+
+    def test_render_at_the_bound_holds_the_text_about_twice(self):
+        # the comment lines and the presentation are joined in one pass: at
+        # the peak the pieces and the joined text are held, not a third copy
+        q, ideal = parse_presentation("[quiver]\nvertex v\narrow x v v 2001\n")
+        result = regrade(q, ideal)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            text = render_regrade(result)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.3 * len(text)
 
 
 def _hilbert_table(argv, capsys) -> list[tuple[int, int]]:

@@ -6,8 +6,8 @@ import hashlib
 
 import pytest
 
+from conftest import dense_nullspace
 from quiver_regrade import GF, QQ, Arrow, DegreeWindow, Matrix, WeightedQuiver
-from quiver_regrade.linalg import nullspace
 from quiver_regrade.randomgen import (
     _scalar_draw,
     random_morphism,
@@ -30,7 +30,9 @@ PINNED_DRAWS = {
 
 
 def dense_reference(rng, source, target):
-    """The commuting-square system as one dense matrix, solved by ``nullspace``.
+    """The commuting-square system as one dense matrix, solved by the dense
+    Gauss-Jordan reference ``dense_nullspace``, which shares no code with the
+    ``Echelon`` kernel of ``random_morphism``.
 
     Same unknown numbering and the same random combination of the nullspace
     basis, so a correct sparse solver returns the very same blocks and makes
@@ -62,21 +64,21 @@ def dense_reference(rng, source, target):
                 row = [field.zero] * nvars
                 for k in range(na_t):
                     idx = var_index[(tkey, i, k)]
-                    row[idx] = field.add(row[idx], a_mat.get(k, j))
+                    row[idx] = field.add(row[idx], a_mat.entries[k][j])
                 for k in range(nb_s):
                     idx = var_index[(skey, k, j)]
-                    row[idx] = field.sub(row[idx], b_mat.get(i, k))
+                    row[idx] = field.sub(row[idx], b_mat.entries[i][k])
                 if any(not field.is_zero(x) for x in row):
                     rows.append(row)
     values = [field.zero] * nvars
     if nvars:
-        basis = nullspace(Matrix.from_rows(field, rows, nvars))
+        basis = dense_nullspace(Matrix.from_rows(field, rows, nvars))
         for j in range(basis.cols):
             coeff = random_scalar(rng, field)
             if field.is_zero(coeff):
                 continue
             for i in range(nvars):
-                values[i] = field.add(values[i], field.mul(coeff, basis.get(i, j)))
+                values[i] = field.add(values[i], field.mul(coeff, basis.entries[i][j]))
     blocks = {}
     for slot in slots:
         r, c = shapes[slot]

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import dense_nullspace, dense_rref
 from quiver_regrade import (
     Arrow,
     DegreeWindow,
@@ -35,7 +36,7 @@ from quiver_regrade.catalog import (
     kxy_presentation,
     kxy_split_presentation,
 )
-from quiver_regrade.linalg import Echelon, _kernel_basis, nullspace
+from quiver_regrade.linalg import Echelon, kernel_basis
 from quiver_regrade.randomgen import random_morphism, random_rep, rng_for
 
 
@@ -494,7 +495,8 @@ class TestKernelCokernel:
 # The route morphism_kernel/morphism_cokernel took before reading induced
 # actions and residues off the reduced form: solve b_t X = action b_s by an
 # elimination per arrow, and reduce each standard basis vector modulo the
-# image one at a time.
+# image one at a time.  The kernel side runs on the dense Gauss-Jordan
+# reference of conftest, which shares no code with linalg.Echelon.
 def _sparse(f, row):
     return {j: x for j, x in enumerate(row) if not f.is_zero(x)}
 
@@ -502,17 +504,12 @@ def _sparse(f, row):
 def _reference_solve_columns(a, b):
     f = a.field
     n, k = a.cols, b.cols
-    ech = Echelon(f)
-    for ra, rb in zip(a.entries, b.entries):
-        ech.add(_sparse(f, ra + rb))
-    ech.back_substitute()
-    red = ech.pivots
-    if any(c >= n for c in red):
+    augmented = tuple(ra + rb for ra, rb in zip(a.entries, b.entries))
+    red, pivots = dense_rref(Matrix(a.rows, n + k, augmented, f))
+    if any(c >= n for c in pivots):
         return None
-    sol = [
-        [red[i].get(n + j, f.zero) for j in range(k)] if i in red else [f.zero] * k
-        for i in range(n)
-    ]
+    row_of = dict(zip(pivots, red))
+    sol = [row_of[i][n:] if i in row_of else [f.zero] * k for i in range(n)]
     return Matrix.from_rows(f, sol, k)
 
 
@@ -520,7 +517,7 @@ def _reference_complement(m):
     f, n = m.field, m.rows
     ech = Echelon(f)
     for j in range(m.cols):
-        ech.add(_sparse(f, m.column(j)))
+        ech.add(_sparse(f, [row[j] for row in m.entries]))
     free = [c for c in range(n) if c not in ech.pivots]
     q = [[f.zero] * n for _ in free]
     for i in range(n):
@@ -533,7 +530,7 @@ def _reference_complement(m):
 
 def _reference_kernel(phi):
     src = phi.source
-    basis = {key: nullspace(block) for key, block in phi.blocks.items()}
+    basis = {key: dense_nullspace(block) for key, block in phi.blocks.items()}
     mats = {}
     for (name, d), action in src.mats.items():
         a = src.quiver.arrow(name)
@@ -596,8 +593,8 @@ def test_full_free_list_takes_the_action_as_it_is(field):
             phi = GradedMorphism(src, tgt, blocks)
         else:
             phi = random_morphism(rng, src, tgt)
-        kernel_free = {key: _kernel_basis(b) for key, b in phi.blocks.items()}
-        coker_free = {key: _kernel_basis(b.transpose()) for key, b in phi.blocks.items()}
+        kernel_free = {key: kernel_basis(b) for key, b in phi.blocks.items()}
+        coker_free = {key: kernel_basis(b.transpose()) for key, b in phi.blocks.items()}
         ker, _ = morphism_kernel(phi)
         coker, _ = morphism_cokernel(phi)
         for (name, d), action in src.mats.items():
