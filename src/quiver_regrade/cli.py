@@ -90,15 +90,14 @@ def _default_field():
 
 
 def render_regrade(result: RegradeResult) -> str:
-    """Final presentation preceded by the split trace as comments."""
-    n = len(result.trace)
+    """Final presentation preceded by the splits as comments."""
+    n = len(result.splits)
     lines = [f"# regrade: {n} split" + ("" if n == 1 else "s")]
-    for t in result.trace:
-        b = t.arrow
+    for b, first, second in result.splits:
         lines.append(
-            f"# split {t.split_arrow}: {t.first} ({b.source} -> {t.new_vertex}, "
-            f"degree 1), {t.second} ({t.new_vertex} -> {b.target}, "
-            f"degree {b.degree - 1})"
+            f"# split {b.name}: {first.name} ({b.source} -> {first.target}, "
+            f"degree 1), {second.name} ({second.source} -> {b.target}, "
+            f"degree {second.degree})"
         )
     lines.append(serialize_presentation(result.final_quiver, result.final_ideal))
     return "\n".join(lines)

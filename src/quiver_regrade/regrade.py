@@ -7,10 +7,10 @@ the degree-preserving rewrite that expands each occurrence of b into the two
 halves.  Iterating the split on a deterministically chosen arrow reaches a
 quiver whose arrows all have degree 1 in exactly discrepancy-many steps.
 The splits of one regrade are made on one running vertex and arrow list
-that stays sorted and indexed between splits, and the only quiver they
-build is the last one.  Each step of the trace records its split, and its
-``before`` and ``after`` quivers are built from those records the first
-time they are read.
+that stays sorted between splits; the regrade records each split as the
+arrow and its two halves and builds only the last quiver.  Its trace, the
+splits with the quiver before and after each, is built from those records
+the first time it is read.
 
 The full regrade runs its splits on the quiver alone and transports the
 relations once, at the end, through the composite substitution that sends
@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from dataclasses import dataclass
+from functools import cached_property
 from heapq import heapify, heappop, heappush
 from operator import attrgetter
 
@@ -33,9 +34,9 @@ from .quiver import Arrow, WeightedQuiver, weight_discrepancy
 # A split costs O(log n) index work plus list inserts, and a regrade builds
 # one quiver, but the names of one loop's halves grow by a prime per split,
 # so regrade output grows quadratically with the discrepancy, and so does
-# the memory of a trace whose every quiver is read.  Through the CLI (2-core
-# host, Python 3.11) one loop of discrepancy 2000 regrades in 0.12 s at
-# 72 MB peak RSS, writing 16 MB.
+# the memory of a read trace, which holds every quiver.  Through the CLI
+# (2-core host, Python 3.11) one loop of discrepancy 2000 regrades in
+# 0.12 s at 72 MB peak RSS, writing 16 MB.
 MAX_DISCREPANCY = 2000
 
 
@@ -49,16 +50,9 @@ class DiscrepancyLimit(SplitError):
 
 @dataclass(frozen=True)
 class SplitTrace:
-    """One split: ``split_arrow`` (the arrow ``arrow``) became ``first`` into
-    the fresh vertex ``new_vertex`` and ``second`` out of it.
-
-    A step of a ``regrade`` trace starts without its ``before`` and
-    ``after`` attributes; ``__getattr__`` builds each from its run's
-    ``_History`` the first time it is read and keeps it, so the step then
-    compares and hashes like one made by this constructor.  Once both are
-    set the step lets go of the history, and a copy or pickle of a step
-    holds its seven fields only.
-    """
+    """One split: ``split_arrow`` (the arrow ``arrow``) of ``before`` became
+    ``first`` into the fresh vertex ``new_vertex`` and ``second`` out of it,
+    giving ``after``."""
 
     split_arrow: str
     arrow: Arrow
@@ -68,86 +62,53 @@ class SplitTrace:
     before: WeightedQuiver
     after: WeightedQuiver
 
-    def __getattr__(self, name: str) -> WeightedQuiver:
-        # runs only for an attribute not yet set
-        d = self.__dict__
-        if name not in ("before", "after") or "_history" not in d:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        history, k = d["_history"]
-        q = d[name] = history.quiver(k + (name == "after"))
-        if "before" in d and "after" in d:
-            # with both quivers set the step no longer needs its run
-            del d["_history"]
-        return q
 
-    def __getstate__(self) -> dict[str, object]:
-        return {name: getattr(self, name) for name in self.__dataclass_fields__}
+# One split as a regrade records it: the arrow and its two halves.  The
+# fresh vertex is the first half's target.
+Split = tuple[Arrow, Arrow, Arrow]
+
+_name = attrgetter("name")
+
+
+def _apply(vertices: list[str], arrows: list[Arrow], split: Split) -> None:
+    """Make ``split`` on a sorted vertex list and a name-sorted arrow list."""
+    arrow, first, second = split
+    del arrows[bisect_left(arrows, arrow.name, key=_name)]
+    insort(vertices, first.target)
+    insort(arrows, first, key=_name)
+    insort(arrows, second, key=_name)
 
 
 @dataclass(frozen=True)
 class RegradeResult:
-    final_quiver: WeightedQuiver
-    final_ideal: IdealPresentation
-    trace: tuple[SplitTrace, ...]
+    """The input ``quiver``, the regraded presentation and the ``splits``
+    that took one to the other, in order.
 
-
-_name = attrgetter("name")
-
-# One split as it acts on the sorted lists: the index and the arrow it
-# removes, the fresh vertex and the two halves.
-_Split = tuple[int, Arrow, str, tuple[Arrow, Arrow]]
-
-
-def _apply(vertices: list[str], arrows: list[Arrow], split: _Split) -> None:
-    i, _, z, halves = split
-    del arrows[i]
-    insort(vertices, z)
-    for half in halves:
-        insort(arrows, half, key=_name)
-
-
-class _History:
-    """The quivers of one run of splits, each built when it is first read.
-
-    ``quivers`` holds the quivers read so far after the first 0, 1, 2, ...
-    splits, ``quivers[0]`` being the input itself, and ``final`` is the
-    quiver after the last split.  Reading a quiver past them replays
-    ``splits`` forward, in a loop, on running sorted lists, and keeps every
-    quiver on the way, so each costs one tuple copy of the lists.  The
-    lists start as sorted copies of the input, since its own tuples may be
-    in any order.
+    ``trace`` is built on its first read and kept: it replays ``splits``
+    once, forward from sorted copies of the input's lists, into one
+    ``SplitTrace`` per split.  ``trace[0].before`` is ``quiver`` itself,
+    ``trace[k].after`` is ``trace[k + 1].before`` and ``trace[-1].after`` is
+    ``final_quiver``.  A reader that needs only the arrows and names reads
+    ``splits`` and builds no quiver.
     """
 
-    def __init__(self, q: WeightedQuiver) -> None:
-        self.splits: list[_Split] = []
-        self.quivers = [q]
-        self.final = q
-        self.lists: tuple[list[str], list[Arrow]] | None = None
+    quiver: WeightedQuiver
+    final_quiver: WeightedQuiver
+    final_ideal: IdealPresentation
+    splits: tuple[Split, ...]
 
-    def record(self, split: _Split) -> SplitTrace:
-        """Append one split and return its step, with no quiver built."""
-        _, arrow, z, (first, second) = split
-        self.splits.append(split)
-        step = object.__new__(SplitTrace)
-        vars(step).update(
-            split_arrow=arrow.name, arrow=arrow, new_vertex=z, first=first.name,
-            second=second.name, _history=(self, len(self.splits) - 1),
-        )
-        return step
-
-    def quiver(self, k: int) -> WeightedQuiver:
-        quivers = self.quivers
-        if k < len(quivers):
-            return quivers[k]
-        if k == len(self.splits):
-            return self.final
-        if self.lists is None:
-            self.lists = sorted(quivers[0].vertices), sorted(quivers[0].arrows, key=_name)
-        vertices, arrows = self.lists
-        for split in self.splits[len(quivers) - 1 : k]:
+    @cached_property
+    def trace(self) -> tuple[SplitTrace, ...]:
+        vertices, arrows = sorted(self.quiver.vertices), sorted(self.quiver.arrows, key=_name)
+        quivers = [self.quiver]
+        for split in self.splits[:-1]:
             _apply(vertices, arrows, split)
             quivers.append(WeightedQuiver(tuple(vertices), tuple(arrows)))
-        return quivers[k]
+        quivers.append(self.final_quiver)
+        return tuple(
+            SplitTrace(b.name, b, first.target, first.name, second.name, before, after)
+            for (b, first, second), before, after in zip(self.splits, quivers, quivers[1:])
+        )
 
 
 def _z_name(i: int) -> str:
@@ -163,7 +124,7 @@ class _Splitter:
     picks, and an index ``z`` below which every name of ``z``, ``z1``, ``z2``,
     ... is taken; ``skipped`` holds the index of each name it stepped past,
     so a split that frees one moves ``z`` back.  A split updates all of them
-    in O(log n) steps plus list inserts and returns its ``_Split`` record;
+    in O(log n) steps plus list inserts and returns its ``Split`` record;
     it builds no quiver.  ``close`` builds the quiver after the last split.
 
     The fresh vertex is the first free name of ``z``, ``z1``, ``z2``, ...;
@@ -182,7 +143,7 @@ class _Splitter:
         self.z = 0
         self.skipped: dict[str, int] = {}
 
-    def split(self, name: str) -> _Split:
+    def split(self, name: str) -> Split:
         arrow = self.arrow_map.get(name)
         if arrow is None:
             raise SplitError(f"unknown arrow {name!r}")
@@ -203,9 +164,8 @@ class _Splitter:
                 i += 1
             first, second = f"{first}{i}", f"{second}{i}"
 
-        at = bisect_left(self.arrows, name, key=_name)
         halves = Arrow(first, arrow.source, z, 1), Arrow(second, z, arrow.target, arrow.degree - 1)
-        split = at, self.arrows[at], z, halves
+        split = arrow, *halves
         _apply(self.vertices, self.arrows, split)
         del self.arrow_map[name]
         if name not in self.vertex_set:
@@ -221,14 +181,6 @@ class _Splitter:
             heappush(self.heap, (1 - arrow.degree, second))
         return split
 
-    def split_all(self, history: _History) -> list[SplitTrace]:
-        """Split the arrow ``pick_split_target`` picks until none is left,
-        recording each split in ``history``."""
-        trace = []
-        while self.heap:
-            trace.append(history.record(self.split(heappop(self.heap)[1])))
-        return trace
-
     def close(self) -> WeightedQuiver:
         """Build the quiver after the last split from the running lists."""
         return WeightedQuiver(tuple(self.vertices), tuple(self.arrows))
@@ -237,8 +189,8 @@ class _Splitter:
 def split_arrow(q: WeightedQuiver, name: str) -> SplitTrace:
     """Split one arrow of degree >= 2; degree-1 splits are a hard error."""
     splitter = _Splitter(q)
-    _, arrow, z, (first, second) = splitter.split(name)
-    return SplitTrace(name, arrow, z, first.name, second.name, q, splitter.close())
+    arrow, first, second = splitter.split(name)
+    return SplitTrace(name, arrow, first.target, first.name, second.name, q, splitter.close())
 
 
 Substitution = dict[str, tuple[str, ...]]
@@ -302,19 +254,17 @@ def regrade(q: WeightedQuiver, ideal: IdealPresentation) -> RegradeResult:
 
     The splits run on the quiver alone, in exactly weight_discrepancy(q)
     steps of one ``_Splitter``, each on the arrow ``pick_split_target``
-    would pick, and the only quiver they build is the final one.  Each
-    step's ``before`` and ``after`` are built when first read, replayed from
-    the recorded splits; ``trace[0].before`` is ``q`` itself and
-    ``trace[k].after`` is ``trace[k + 1].before``.  Folding the trace
-    backwards then gives the composite substitution b -> b_1 ... b_d from
-    each original arrow to the chain of final arrows it became, and the
-    relations are rewritten once through it.  This gives the same ideal,
-    term for term, as rewriting at every split: the chains of distinct
-    original arrows are disjoint, so no two paths meet and no coefficient
-    cancels, and the terms of each relation are sorted on their final paths
-    either way.  An input already generated in degree 1 comes back
-    unchanged with an empty trace.  A discrepancy above MAX_DISCREPANCY
-    raises DiscrepancyLimit before the first split.
+    would pick; they are recorded as ``splits``, and the only quiver they
+    build is the final one (``RegradeResult.trace`` builds the others when
+    it is read).  Folding the splits backwards gives the composite
+    substitution b -> b_1 ... b_d from each original arrow to the chain of
+    final arrows it became, and the relations are rewritten once through
+    it.  This gives the same ideal, term for term, as rewriting at every
+    split: the chains of distinct original arrows are disjoint, so no two
+    paths meet and no coefficient cancels, and the terms of each relation
+    are sorted on their final paths either way.  An input already generated
+    in degree 1 comes back unchanged with no splits.  A discrepancy above
+    MAX_DISCREPANCY raises DiscrepancyLimit before the first split.
     """
     discrepancy = weight_discrepancy(q)
     if discrepancy > MAX_DISCREPANCY:
@@ -322,16 +272,17 @@ def regrade(q: WeightedQuiver, ideal: IdealPresentation) -> RegradeResult:
             f"weight discrepancy {discrepancy} is above the regrade bound "
             f"{MAX_DISCREPANCY}: regrading makes one split per unit of discrepancy"
         )
-    splitter, history = _Splitter(q), _History(q)
-    trace = splitter.split_all(history)
-    assert len(trace) == discrepancy
-    if not trace:
-        return RegradeResult(q, ideal, ())
-    final = history.final = splitter.close()
-    # Backwards, sub maps each arrow of t.after to its final chain.  Both
-    # halves are fresh for t.before, so they are popped before an earlier
-    # split can reuse their names.
+    splitter = _Splitter(q)
+    splits = []
+    while splitter.heap:
+        splits.append(splitter.split(heappop(splitter.heap)[1]))
+    assert len(splits) == discrepancy
+    if not splits:
+        return RegradeResult(q, q, ideal, ())
+    # Backwards, sub maps each arrow after a split to its final chain.  Both
+    # halves are fresh before it, so they are popped before an earlier split
+    # can reuse their names.
     sub: Substitution = {}
-    for t in reversed(trace):
-        sub[t.split_arrow] = sub.pop(t.first, (t.first,)) + sub.pop(t.second, (t.second,))
-    return RegradeResult(final, _transport_ideal(ideal, sub), tuple(trace))
+    for arrow, first, second in reversed(splits):
+        sub[arrow.name] = sub.pop(first.name, (first.name,)) + sub.pop(second.name, (second.name,))
+    return RegradeResult(q, splitter.close(), _transport_ideal(ideal, sub), tuple(splits))

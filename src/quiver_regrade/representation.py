@@ -276,7 +276,7 @@ class GradedMorphism:
             raise QuiverMismatchError("morphism endpoints live on different quivers")
         if src.window != tgt.window or src.field != tgt.field:
             raise ValueError("morphism endpoints disagree on window or field")
-        src_dims, tgt_dims = src.dims, tgt.dims
+        src_dims, tgt_dims, field = src.dims, tgt.dims, src.field
         for (v, d), m in blocks.items():
             ns, nt = src_dims.get((v, d)), tgt_dims.get((v, d))
             if ns is None or nt is None:
@@ -285,6 +285,8 @@ class GradedMorphism:
                 raise ValueError(
                     f"block at ({v!r}, {d}) has shape {m.rows}x{m.cols}, expected {nt}x{ns}"
                 )
+            if m.field is not field and m.field != field:
+                raise ValueError(f"block at ({v!r}, {d}) is over the wrong field")
         arrow_map, tgt_mats = src.quiver.arrow_map, tgt.mats
         for (name, d), src_mat in src.mats.items():
             # an empty square (phi_s without columns or phi_t without rows)

@@ -250,7 +250,7 @@ def prop_split_golden_structure(cfg: SuiteConfig) -> PropertyResult:
     res = regrade(heavy_loop_quiver(3), IdealPresentation.of([]))
     final = res.final_quiver
     ok = (
-        len(res.trace) == 2
+        len(res.splits) == 2
         and len(final.vertices) == 3
         and len(final.arrows) == 3
         and all(a.degree == 1 for a in final.arrows)
@@ -381,7 +381,7 @@ def prop_regrade_terminates(cfg: SuiteConfig) -> PropertyResult:
         final = res.final_quiver
         again = regrade(final, res.final_ideal)
         ok = (
-            len(res.trace) == weight_discrepancy(q)
+            len(res.splits) == weight_discrepancy(q)
             and weight_discrepancy(final) == 0
             and all(a.degree == 1 for a in final.arrows)
             and not validate(final)
@@ -390,7 +390,7 @@ def prop_regrade_terminates(cfg: SuiteConfig) -> PropertyResult:
                 (b.source, b.target, b.degree) == (a.source, a.target, a.degree)
                 for a, b in zip(ideal, res.final_ideal)
             )
-            and not again.trace
+            and not again.splits
             and again.final_quiver == final
             and again.final_ideal == res.final_ideal
         )

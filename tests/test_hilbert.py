@@ -344,7 +344,7 @@ class TestCornerIdentity:
             q = random_quiver(rng, max_vertices=3, max_arrows=4)
             ideal = random_ideal(rng, q)
             split = regrade(q, ideal)
-            regraded += bool(split.trace)
+            regraded += bool(split.splits)
             want = self.corners(q, ideal, q.vertices, self.TOP, field)
             got = self.corners(split.final_quiver, split.final_ideal, q.vertices, self.TOP, field)
             assert got == want, (seed, q, ideal)

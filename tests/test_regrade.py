@@ -341,7 +341,7 @@ class TestDiscrepancyGuard:
         assert str(info.value).startswith("weight discrepancy 5 is above the regrade bound 2")
 
     def test_bound_is_inclusive(self, bound_two, empty_ideal):
-        assert len(regrade(heavy_loop_quiver(3), empty_ideal).trace) == 2
+        assert len(regrade(heavy_loop_quiver(3), empty_ideal).splits) == 2
         with pytest.raises(DiscrepancyLimit):
             regrade(heavy_loop_quiver(4), empty_ideal)
 
@@ -461,9 +461,9 @@ def split_chain(q, names):
 
 
 class TestLazyTrace:
-    """A regrade builds only its final quiver; each step's ``before`` and
-    ``after`` are built when first read, in any order, and are then the same
-    values a split made eagerly gives."""
+    """A regrade records its splits and builds only its final quiver; the
+    trace's quivers are built together on its first read, and each step is
+    then the same value a split made eagerly gives."""
 
     # neither tuple is sorted, so a replay must start from sorted copies
     UNSORTED = WeightedQuiver(
@@ -485,24 +485,18 @@ class TestLazyTrace:
         assert r.trace[0].before is self.UNSORTED
         assert r.trace[-1].after is r.final_quiver
 
-    def test_unread_step_copies_and_pickles(self, empty_ideal):
-        trace = regrade(self.UNSORTED, empty_ideal).trace
-        copies = [
-            copy.copy(trace[0]), copy.deepcopy(trace[1]), pickle.loads(pickle.dumps(trace[2]))
-        ]
-        for t, c in zip(trace, copies):
-            # a copy holds the seven fields, not the run's other quivers
-            assert set(vars(c)) == {f.name for f in fields(SplitTrace)}
-            assert c == t
-        # with both quivers read, a step lets go of its run
-        assert "_history" not in vars(trace[0])
-        with pytest.raises(AttributeError):
-            trace[0].no_such_field
-
-    def test_step_without_history_raises_attribute_error(self):
-        t = object.__new__(SplitTrace)
-        assert getattr(t, "before", None) is None
-        assert not hasattr(t, "after")
+    def test_result_copies_and_pickles(self, empty_ideal):
+        r = regrade(self.UNSORTED, empty_ideal)
+        for read in (False, True):
+            if read:
+                assert len(r.trace) == 3
+            for c in (copy.copy(r), copy.deepcopy(r), pickle.loads(pickle.dumps(r))):
+                # a copy of an unread result carries no trace either
+                assert ("trace" in vars(c)) is read
+                assert c == r
+                assert c.trace == r.trace
+                assert c.trace[0].before == self.UNSORTED
+                assert c.trace[-1].after == c.final_quiver
 
     def test_last_step_read_first_at_the_bound(self, empty_ideal):
         degree = regrade_module.MAX_DISCREPANCY + 1
@@ -533,10 +527,12 @@ class TestLazyTrace:
         monkeypatch.setattr(regrade_module, "WeightedQuiver", counted)
         r = regrade(q, ideal)
         render_regrade(r)
-        assert len(r.trace) == 174
+        assert len(r.splits) == 174
         assert len(built) == 1 and built[0] is r.final_quiver
-        # a read replays forward from q and keeps every quiver on the way
-        r.trace[100].after
-        assert len(built) == 102
-        assert r.trace[50].before is built[50]
-        assert len(built) == 102
+        # the first read replays every split once, keeping each quiver
+        trace = r.trace
+        assert len(built) == 1 + 173
+        assert trace[0].before is q and trace[-1].after is r.final_quiver
+        assert all(t.after is after for t, after in zip(trace, built[1:]))
+        assert r.trace is trace
+        assert len(built) == 1 + 173

@@ -339,6 +339,15 @@ class TestGradedMorphism:
                 blocks={("u", 0): qmat([[1, 0]])},
             )
 
+    def test_block_over_another_field_rejected(self):
+        # no arrow touches (v, 0), so no commuting square would catch the QQ block
+        f = GF(7)
+        q = WeightedQuiver(vertices=("u", "v"), arrows=(Arrow("a", "u", "v", 1),))
+        rep = GradedRep(q, DegreeWindow(0, 0), f, {("u", 0): 1, ("v", 0): 2}, {})
+        blocks = {("u", 0): Matrix.identity(f, 1), ("v", 0): qmat([[1, 0], [0, 0]])}
+        with pytest.raises(ValueError, match=r"block at \('v', 0\) is over the wrong field"):
+            GradedMorphism(rep, rep, blocks)
+
     def test_fp_entries_given_unreduced_are_reduced(self):
         # a shared identity factor returns the other factor as it is, so an
         # unreduced -1 would fail the square against the multiplied-out 1 * -1
