@@ -10,10 +10,12 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from collections.abc import Iterable, Iterator
+from contextlib import nullcontext
 from pathlib import Path
 
 from .fields import GF, default_prime, parse_field_spec
-from .fileformat import PresentationError, parse_presentation, serialize_presentation
+from .fileformat import PresentationError, parse_presentation, presentation_lines
 from .hilbert import DEFAULT_MAX_DEGREE, hilbert_table
 from .paths import IdealPresentation, PathCountLimit
 from .quiver import WeightedQuiver, weight_discrepancy
@@ -89,18 +91,34 @@ def _default_field():
         raise _UsageError(str(exc)) from None
 
 
-def render_regrade(result: RegradeResult) -> str:
-    """Final presentation preceded by the splits as comments."""
+def regrade_lines(result: RegradeResult) -> Iterator[str]:
+    """The splits as comments, then the final presentation, line by line."""
     n = len(result.splits)
-    lines = [f"# regrade: {n} split" + ("" if n == 1 else "s")]
+    yield f"# regrade: {n} split" + ("" if n == 1 else "s") + "\n"
     for b, first, second in result.splits:
-        lines.append(
+        yield (
             f"# split {b.name}: {first.name} ({b.source} -> {first.target}, "
             f"degree 1), {second.name} ({second.source} -> {b.target}, "
-            f"degree {second.degree})"
+            f"degree {second.degree})\n"
         )
-    lines.append(serialize_presentation(result.final_quiver, result.final_ideal))
-    return "\n".join(lines)
+    yield from presentation_lines(result.final_quiver, result.final_ideal)
+
+
+def render_regrade(result: RegradeResult) -> str:
+    """The joined ``regrade_lines``."""
+    return "".join(regrade_lines(result))
+
+
+def _write(lines: Iterable[str], output: str | None) -> None:
+    """Write ``lines`` as they are made to the file ``output``, opened first, or to stdout."""
+    try:
+        target = nullcontext(sys.stdout) if output is None else open(output, "w", encoding="utf-8")
+        with target as out:
+            out.writelines(lines)
+            out.flush()
+    except OSError as exc:
+        name = "stdout" if output is None else output
+        raise _CliFailure(f"cannot write {name}: {exc}") from exc
 
 
 def _cmd_validate(args) -> int:
@@ -121,7 +139,7 @@ def _cmd_split(args) -> int:
         t = split_arrow(q, args.arrow)
     except SplitError as exc:
         raise _CliFailure(str(exc)) from exc
-    sys.stdout.write(serialize_presentation(t.after, rewrite_ideal(t, ideal)))
+    _write(presentation_lines(t.after, rewrite_ideal(t, ideal)), None)
     return 0
 
 
@@ -131,14 +149,7 @@ def _cmd_regrade(args) -> int:
         result = regrade(q, ideal)
     except DiscrepancyLimit as exc:
         raise _CliFailure(str(exc)) from exc
-    text = render_regrade(result)
-    if args.output is not None:
-        try:
-            Path(args.output).write_text(text, encoding="utf-8")
-        except OSError as exc:
-            raise _CliFailure(f"cannot write {args.output}: {exc}") from exc
-    else:
-        sys.stdout.write(text)
+    _write(regrade_lines(result), args.output)
     return 0
 
 

@@ -18,6 +18,10 @@ DEFAULT_PRIME = 32003
 
 PRIME_ENV_VAR = "QUIVER_REGRADE_PRIME"
 
+# Every modulus is below this bound, inside the range where the bases of
+# _is_prime prove primality.
+MODULUS_BOUND = 2**64
+
 
 def _is_prime(n: int) -> bool:
     if n < 2:
@@ -26,7 +30,7 @@ def _is_prime(n: int) -> bool:
         return True
     if n % 2 == 0:
         return False
-    # deterministic Miller-Rabin, valid far beyond any sane modulus here
+    # Miller-Rabin on the first twelve primes: proved below 318665857834031151167461
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
@@ -44,6 +48,14 @@ def _is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def _require_prime(p: int, name: str) -> None:
+    """Raise ValueError unless ``p``, called ``name``, is a prime below MODULUS_BOUND."""
+    if p >= MODULUS_BOUND:
+        raise ValueError(f"{name} is at or above the modulus bound 2**64")
+    if not _is_prime(p):
+        raise ValueError(f"{name} is not prime")
 
 
 class Rationals:
@@ -104,8 +116,7 @@ class PrimeField:
     char: int
 
     def __init__(self, p: int):
-        if not _is_prime(p):
-            raise ValueError(f"modulus {p} is not prime")
+        _require_prime(p, f"modulus {p}")
         self.p = p
         self.char = p
         self.spec = f"p{p}"
@@ -123,7 +134,7 @@ class PrimeField:
         den %= self.p
         if den == 0:
             raise ZeroDivisionError(f"denominator of {fr} vanishes mod {self.p}")
-        return num * pow(den, self.p - 2, self.p) % self.p
+        return num * pow(den, -1, self.p) % self.p
 
     def add(self, a: int, b: int) -> int:
         return (a + b) % self.p
@@ -143,7 +154,7 @@ class PrimeField:
     def inv(self, a: int) -> int:
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of zero")
-        return pow(a, self.p - 2, self.p)
+        return pow(a, -1, self.p)
 
     def is_zero(self, a: int) -> bool:
         return a % self.p == 0
@@ -186,8 +197,7 @@ def default_prime() -> int:
         p = int(raw)
     except ValueError as exc:
         raise ValueError(f"{PRIME_ENV_VAR} must be an integer, got {raw!r}") from exc
-    if not _is_prime(p):
-        raise ValueError(f"{PRIME_ENV_VAR}={p} is not prime")
+    _require_prime(p, f"{PRIME_ENV_VAR}={p}")
     return p
 
 

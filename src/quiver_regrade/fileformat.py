@@ -32,6 +32,7 @@ computed only when a diagnostic is raised.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -283,19 +284,24 @@ def parse_presentation(text: str) -> tuple[WeightedQuiver, IdealPresentation]:
     return q, IdealPresentation.of(generators)
 
 
-def serialize_presentation(q: WeightedQuiver, ideal: IdealPresentation) -> str:
-    """Canonical text: sorted declarations, generators in presentation order.
+def presentation_lines(q: WeightedQuiver, ideal: IdealPresentation) -> Iterator[str]:
+    """Canonical text, line by line with newlines: sorted declarations,
+    generators in presentation order.
 
-    Parsing the output reproduces the input presentation exactly.
+    Parsing the joined lines reproduces the input presentation exactly.
     """
-    lines = ["[quiver]"]
+    yield "[quiver]\n"
     for v in sorted(q.vertices):
-        lines.append(f"vertex {v}")
+        yield f"vertex {v}\n"
     for a in sorted(q.arrows, key=lambda a: a.name):
-        lines.append(f"arrow {a.name} {a.source} {a.target} {a.degree}")
+        yield f"arrow {a.name} {a.source} {a.target} {a.degree}\n"
     if len(ideal):
-        lines.append("")
-        lines.append("[relations]")
+        yield "\n"
+        yield "[relations]\n"
         for gen in ideal:
-            lines.append(str(gen.sum))
-    return "\n".join(lines) + "\n"
+            yield f"{gen.sum}\n"
+
+
+def serialize_presentation(q: WeightedQuiver, ideal: IdealPresentation) -> str:
+    """The joined ``presentation_lines``."""
+    return "".join(presentation_lines(q, ideal))

@@ -6,11 +6,11 @@ weight discrepancy by exactly one.  Paths and relations are transported by
 the degree-preserving rewrite that expands each occurrence of b into the two
 halves.  Iterating the split on a deterministically chosen arrow reaches a
 quiver whose arrows all have degree 1 in exactly discrepancy-many steps.
-The splits of one regrade are made on one running vertex and arrow list
-that stays sorted between splits; the regrade records each split as the
-arrow and its two halves and builds only the last quiver.  Its trace, the
-splits with the quiver before and after each, is built from those records
-the first time it is read.
+The splits of one regrade are made on one vertex set and arrow map, with no
+sorted list; the regrade holds the heap of arrows still to split, records
+each split as the arrow and its two halves and builds only the last quiver,
+sorting once.  Its trace, the splits with the quiver before and after each,
+is built from those records the first time it is read.
 
 The full regrade runs its splits on the quiver alone and transports the
 relations once, at the end, through the composite substitution that sends
@@ -31,12 +31,12 @@ from operator import attrgetter
 from .paths import IdealPresentation, Path, PathSum, UniformElement, term_key
 from .quiver import Arrow, WeightedQuiver, weight_discrepancy
 
-# A split costs O(log n) index work plus list inserts, and a regrade builds
-# one quiver, but the names of one loop's halves grow by a prime per split,
-# so regrade output grows quadratically with the discrepancy, and so does
-# the memory of a read trace, which holds every quiver.  Through the CLI
+# A split costs O(1) index work plus a heap step, and a regrade builds one
+# quiver, but the names of one loop's halves grow by a prime per split, so
+# regrade output grows quadratically with the discrepancy, and so does the
+# memory of a read trace, which holds every quiver.  Through the CLI
 # (2-core host, Python 3.11) one loop of discrepancy 2000 regrades in
-# 0.12 s at 72 MB peak RSS, writing 16 MB.
+# 0.15 s at 25 MB peak RSS, writing 16 MB as it is made.
 MAX_DISCREPANCY = 2000
 
 
@@ -70,15 +70,6 @@ Split = tuple[Arrow, Arrow, Arrow]
 _name = attrgetter("name")
 
 
-def _apply(vertices: list[str], arrows: list[Arrow], split: Split) -> None:
-    """Make ``split`` on a sorted vertex list and a name-sorted arrow list."""
-    arrow, first, second = split
-    del arrows[bisect_left(arrows, arrow.name, key=_name)]
-    insort(vertices, first.target)
-    insort(arrows, first, key=_name)
-    insort(arrows, second, key=_name)
-
-
 @dataclass(frozen=True)
 class RegradeResult:
     """The input ``quiver``, the regraded presentation and the ``splits``
@@ -101,8 +92,11 @@ class RegradeResult:
     def trace(self) -> tuple[SplitTrace, ...]:
         vertices, arrows = sorted(self.quiver.vertices), sorted(self.quiver.arrows, key=_name)
         quivers = [self.quiver]
-        for split in self.splits[:-1]:
-            _apply(vertices, arrows, split)
+        for arrow, first, second in self.splits[:-1]:
+            del arrows[bisect_left(arrows, arrow.name, key=_name)]
+            insort(vertices, first.target)
+            insort(arrows, first, key=_name)
+            insort(arrows, second, key=_name)
             quivers.append(WeightedQuiver(tuple(vertices), tuple(arrows)))
         quivers.append(self.final_quiver)
         return tuple(
@@ -116,16 +110,15 @@ def _z_name(i: int) -> str:
 
 
 class _Splitter:
-    """A quiver under repeated splits, with the indexes a split needs.
+    """A quiver under repeated splits, with one index per fact a split reads.
 
-    It keeps the sorted vertices, the name-sorted arrows, ``{name: Arrow}``,
-    the taken names (vertices and arrows), a heap of ``(-degree, name)`` over
-    the arrows of degree >= 2, whose top is the arrow ``pick_split_target``
-    picks, and an index ``z`` below which every name of ``z``, ``z1``, ``z2``,
-    ... is taken; ``skipped`` holds the index of each name it stepped past,
-    so a split that frees one moves ``z`` back.  A split updates all of them
-    in O(log n) steps plus list inserts and returns its ``Split`` record;
-    it builds no quiver.  ``close`` builds the quiver after the last split.
+    It keeps the vertex set, ``{name: Arrow}`` and an index ``z`` below
+    which every name of ``z``, ``z1``, ``z2``, ... is taken; ``skipped``
+    holds the index of each name it stepped past, so a split that frees one
+    moves ``z`` back.  A name is taken when the vertex set or the arrow map
+    holds it.  A split updates them in O(1) steps and returns its ``Split``
+    record; it keeps no sorted list and no heap, and builds no quiver.
+    ``close`` builds the quiver after the last split.
 
     The fresh vertex is the first free name of ``z``, ``z1``, ``z2``, ...;
     the halves of ``b`` are ``b'`` and ``b''``, or ``b'i`` and ``b''i`` for
@@ -133,15 +126,13 @@ class _Splitter:
     """
 
     def __init__(self, q: WeightedQuiver) -> None:
-        self.vertices = sorted(q.vertices)
-        self.vertex_set = set(self.vertices)
-        self.arrows = sorted(q.arrows, key=_name)
-        self.arrow_map = {a.name: a for a in self.arrows}
-        self.taken = self.vertex_set | self.arrow_map.keys()
-        self.heap = [(-a.degree, a.name) for a in self.arrows if a.degree >= 2]
-        heapify(self.heap)
+        self.vertex_set = set(q.vertices)
+        self.arrow_map = {a.name: a for a in q.arrows}
         self.z = 0
         self.skipped: dict[str, int] = {}
+
+    def _taken(self, name: str) -> bool:
+        return name in self.vertex_set or name in self.arrow_map
 
     def split(self, name: str) -> Split:
         arrow = self.arrow_map.get(name)
@@ -153,37 +144,31 @@ class _Splitter:
                 "the second half would get degree 0"
             )
         # fresh names are chosen while the split arrow's name is still taken
-        taken = self.taken
-        while (z := _z_name(self.z)) in taken:
+        taken = self._taken
+        while taken(z := _z_name(self.z)):
             self.skipped[z] = self.z
             self.z += 1
         first, second = name + "'", name + "''"
-        if first in taken or second in taken:
+        if taken(first) or taken(second):
             i = 1
-            while f"{first}{i}" in taken or f"{second}{i}" in taken:
+            while taken(f"{first}{i}") or taken(f"{second}{i}"):
                 i += 1
             first, second = f"{first}{i}", f"{second}{i}"
 
         halves = Arrow(first, arrow.source, z, 1), Arrow(second, z, arrow.target, arrow.degree - 1)
-        split = arrow, *halves
-        _apply(self.vertices, self.arrows, split)
         del self.arrow_map[name]
-        if name not in self.vertex_set:
-            taken.discard(name)
-            # a freed z-name below the index is the first free one again
-            self.z = min(self.z, self.skipped.get(name, self.z))
+        # a freed z-name below the index is the first free one again
+        self.z = min(self.z, self.skipped.get(name, self.z))
         self.vertex_set.add(z)
-        taken.add(z)
         for half in halves:
             self.arrow_map[half.name] = half
-            taken.add(half.name)
-        if arrow.degree > 2:
-            heappush(self.heap, (1 - arrow.degree, second))
-        return split
+        return arrow, *halves
 
     def close(self) -> WeightedQuiver:
-        """Build the quiver after the last split from the running lists."""
-        return WeightedQuiver(tuple(self.vertices), tuple(self.arrows))
+        """Build the quiver after the last split, sorting once."""
+        return WeightedQuiver(
+            tuple(sorted(self.vertex_set)), tuple(sorted(self.arrow_map.values(), key=_name))
+        )
 
 
 def split_arrow(q: WeightedQuiver, name: str) -> SplitTrace:
@@ -254,17 +239,18 @@ def regrade(q: WeightedQuiver, ideal: IdealPresentation) -> RegradeResult:
 
     The splits run on the quiver alone, in exactly weight_discrepancy(q)
     steps of one ``_Splitter``, each on the arrow ``pick_split_target``
-    would pick; they are recorded as ``splits``, and the only quiver they
-    build is the final one (``RegradeResult.trace`` builds the others when
-    it is read).  Folding the splits backwards gives the composite
-    substitution b -> b_1 ... b_d from each original arrow to the chain of
-    final arrows it became, and the relations are rewritten once through
-    it.  This gives the same ideal, term for term, as rewriting at every
-    split: the chains of distinct original arrows are disjoint, so no two
-    paths meet and no coefficient cancels, and the terms of each relation
-    are sorted on their final paths either way.  An input already generated
-    in degree 1 comes back unchanged with no splits.  A discrepancy above
-    MAX_DISCREPANCY raises DiscrepancyLimit before the first split.
+    would pick (the top of a heap kept here); they are recorded as
+    ``splits``, and the only quiver they build is the final one
+    (``RegradeResult.trace`` builds the others when it is read).  Folding
+    the splits backwards gives the composite substitution b -> b_1 ... b_d
+    from each original arrow to the chain of final arrows it became, and
+    the relations are rewritten once through it.  This gives the same
+    ideal, term for term, as rewriting at every split: the chains of
+    distinct original arrows are disjoint, so no two paths meet and no
+    coefficient cancels, and the terms of each relation are sorted on their
+    final paths either way.  An input generated in degree 1 comes back
+    unchanged with no splits.  A discrepancy above MAX_DISCREPANCY raises
+    DiscrepancyLimit before the first split.
     """
     discrepancy = weight_discrepancy(q)
     if discrepancy > MAX_DISCREPANCY:
@@ -273,9 +259,15 @@ def regrade(q: WeightedQuiver, ideal: IdealPresentation) -> RegradeResult:
             f"{MAX_DISCREPANCY}: regrading makes one split per unit of discrepancy"
         )
     splitter = _Splitter(q)
+    # (-degree, name) of each arrow of degree >= 2; the top is the next split
+    heap = [(-a.degree, a.name) for a in q.arrows if a.degree >= 2]
+    heapify(heap)
     splits = []
-    while splitter.heap:
-        splits.append(splitter.split(heappop(splitter.heap)[1]))
+    while heap:
+        splits.append(splitter.split(heappop(heap)[1]))
+        second = splits[-1][2]
+        if second.degree >= 2:
+            heappush(heap, (-second.degree, second.name))
     assert len(splits) == discrepancy
     if not splits:
         return RegradeResult(q, q, ideal, ())

@@ -33,7 +33,7 @@ from .catalog import (
     kxy_split_presentation,
 )
 from .fields import GF, QQ, Field, default_prime
-from .fileformat import serialize_presentation
+from .fileformat import presentation_lines
 from .hilbert import graded_dim, graded_dim_naive, hilbert_table
 from .linalg import rank
 from .paths import (
@@ -153,8 +153,8 @@ def render_reports(reports: list[SuiteReport]) -> str:
 
 
 def _presentation_lines(q: WeightedQuiver, ideal: IdealPresentation | None = None) -> list[str]:
-    text = serialize_presentation(q, ideal if ideal is not None else IdealPresentation.of([]))
-    return text.rstrip("\n").splitlines()
+    ideal = ideal if ideal is not None else IdealPresentation.of([])
+    return [line.rstrip("\n") for line in presentation_lines(q, ideal)]
 
 
 def _counterexample(replay: str, detail: list[str], q: WeightedQuiver | None = None,

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import contextlib
+import errno
 import hashlib
 import io
+import os
 import re
 import subprocess
 import sys
@@ -168,6 +170,31 @@ class TestRegrade:
             "c8695c32834f159903a933b49de3850d422fdfcd0549cc5239af3def184eea10"
         )
 
+    def test_output_file_at_the_bound_is_stdout(self, tmp_path):
+        p = tmp_path / "loop.quiver"
+        p.write_text("[quiver]\nvertex v\narrow x v v 2001\n")
+        out_path = tmp_path / "out.quiver"
+        cmd = [sys.executable, "-m", "quiver_regrade.cli", "regrade", str(p)]
+        stdout = subprocess.run(cmd, capture_output=True, check=True).stdout
+        subprocess.run(cmd + ["-o", str(out_path)], check=True)
+        assert out_path.read_bytes() == stdout
+        assert len(stdout) == 16_204_278
+
+    def test_regrade_at_the_bound_holds_less_than_its_output(self, tmp_path):
+        # the lines are written as they are made: no copy of the whole text
+        # is held, and the peak stays below the size of the file written
+        p = tmp_path / "loop.quiver"
+        p.write_text("[quiver]\nvertex v\narrow x v v 2001\n")
+        out_path = tmp_path / "out.quiver"
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            assert main(["regrade", str(p), "-o", str(out_path)]) == 0
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.0 * out_path.stat().st_size
+
     def test_render_at_the_bound_holds_the_text_about_twice(self):
         # the comment lines and the presentation are joined in one pass: at
         # the peak the pieces and the joined text are held, not a third copy
@@ -181,6 +208,24 @@ class TestRegrade:
         finally:
             tracemalloc.stop()
         assert peak <= 2.3 * len(text)
+
+
+class _FullStdout(io.TextIOBase):
+    """A stdout on a full disk: every write fails."""
+
+    def write(self, s):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+class TestWriteFailure:
+    @pytest.mark.parametrize("argv", [["regrade", "KXY"], ["split", "KXY", "--arrow", "y"]],
+                             ids=["regrade", "split"])
+    def test_full_stdout_is_a_failure(self, argv, kxy_file, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "stdout", _FullStdout())
+        assert main([kxy_file if a == "KXY" else a for a in argv]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"cannot write stdout: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+        ]
 
 
 def _hilbert_table(argv, capsys) -> list[tuple[int, int]]:
@@ -387,6 +432,34 @@ class TestUsage:
         lines = captured.err.splitlines()
         assert len(lines) == 1
         assert "QUIVER_REGRADE_PRIME" in lines[0] and value in lines[0]
+
+    # both moduli are composites that pass Miller-Rabin on the first twelve
+    # prime bases; run, they give a wrong Hilbert table and a verify traceback
+    @pytest.mark.parametrize(
+        "argv, env",
+        [
+            (["hilbert", "XY", "--max-degree", "4", "--field", "p318665857834031151167461"], {}),
+            (["verify", "--suite", "functor", "--seed", "7"],
+             {"QUIVER_REGRADE_PRIME": "3317044064679887385961981"}),
+        ],
+        ids=["field", "environment"],
+    )
+    def test_modulus_above_the_bound_is_usage_error(self, argv, env, tmp_path):
+        p = tmp_path / "xy.quiver"
+        p.write_text("[quiver]\nvertex v\narrow x v v 1\narrow y v v 1\n\n"
+                     "[relations]\n12*y*y + 214*x*y\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "quiver_regrade.cli",
+             *[str(p) if a == "XY" else a for a in argv]],
+            capture_output=True,
+            text=True,
+            env={**os.environ, **env},
+            timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "at or above the modulus bound 2**64" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

@@ -20,6 +20,11 @@ from quiver_regrade import (
 )
 
 
+# the smallest composites that pass Miller-Rabin to the first 12 and 13 prime bases
+PSI_12 = 318665857834031151167461
+PSI_13 = 3317044064679887385961981
+
+
 class TestRationals:
     def test_constants(self):
         assert QQ.zero == Fraction(0)
@@ -69,7 +74,8 @@ class TestPrimeField:
         with pytest.raises((ZeroDivisionError, ValueError)):
             f.from_fraction(Fraction(1, 7))
 
-    @pytest.mark.parametrize("p", [2, 7, 32003, 4294967311])
+    # 2**64 - 59 is the largest prime below the modulus bound
+    @pytest.mark.parametrize("p", [2, 7, 32003, 4294967311, 2**64 - 59])
     def test_from_fraction_matches_general_formula(self, p):
         # an integer skips the inverse; the general formula is num * den^(p-2)
         f = GF(p)
@@ -85,6 +91,15 @@ class TestPrimeField:
             GF(6)
         with pytest.raises(ValueError):
             GF(1)
+
+    @pytest.mark.parametrize("p", [PSI_12, PSI_13, 2**64 + 13], ids=["psi12", "psi13", "prime"])
+    def test_modulus_at_or_above_the_bound_refused(self, p):
+        # psi12 and psi13 are strong pseudoprimes to the first twelve prime
+        # bases; 2**64 + 13 is prime, and refused all the same
+        with pytest.raises(ValueError, match=r"at or above the modulus bound 2\*\*64"):
+            PrimeField(p)
+        with pytest.raises(ValueError, match=r"2\*\*64"):
+            parse_field_spec(f"p{p}")
 
     def test_cached(self):
         assert GF(7) is GF(7)
@@ -150,4 +165,9 @@ class TestDefaultPrime:
     def test_env_rejects_composite(self, monkeypatch):
         monkeypatch.setenv(PRIME_ENV_VAR, "100")
         with pytest.raises(ValueError):
+            default_prime()
+
+    def test_env_rejects_modulus_above_the_bound(self, monkeypatch):
+        monkeypatch.setenv(PRIME_ENV_VAR, str(PSI_13))
+        with pytest.raises(ValueError, match=rf"{PRIME_ENV_VAR}={PSI_13} is at or above"):
             default_prime()
