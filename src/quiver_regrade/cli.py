@@ -1,8 +1,11 @@
 """Command-line interface.
 
 Subcommands: validate, discrepancy, split, regrade, hilbert, verify.
-Results go to stdout, diagnostics and timing to stderr.  Exit codes:
-0 success, 1 validation or verification failure, 2 usage error.
+Each handler returns its stdout lines and its exit status, and ``main``
+writes the lines through one writer, so a full or closed stdout is a
+``cannot write stdout`` failure for every subcommand.  Diagnostics and
+timing go to stderr.  Exit codes: 0 success, 1 validation or verification
+failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -112,6 +115,8 @@ def render_regrade(result: RegradeResult) -> str:
 def _write(lines: Iterable[str], output: str | None) -> None:
     """Write ``lines`` as they are made to the file ``output``, opened first, or to stdout."""
     try:
+        if output is None and sys.stdout is None:
+            raise OSError("stdout is closed")
         target = nullcontext(sys.stdout) if output is None else open(output, "w", encoding="utf-8")
         with target as out:
             out.writelines(lines)
@@ -121,39 +126,35 @@ def _write(lines: Iterable[str], output: str | None) -> None:
         raise _CliFailure(f"cannot write {name}: {exc}") from exc
 
 
-def _cmd_validate(args) -> int:
+def _cmd_validate(args) -> tuple[Iterable[str], int]:
     _load(args.file)
-    print("ok")
-    return 0
+    return ["ok\n"], 0
 
 
-def _cmd_discrepancy(args) -> int:
+def _cmd_discrepancy(args) -> tuple[Iterable[str], int]:
     q, _ = _load(args.file)
-    print(weight_discrepancy(q))
-    return 0
+    return [f"{weight_discrepancy(q)}\n"], 0
 
 
-def _cmd_split(args) -> int:
+def _cmd_split(args) -> tuple[Iterable[str], int]:
     q, ideal = _load(args.file)
     try:
         t = split_arrow(q, args.arrow)
     except SplitError as exc:
         raise _CliFailure(str(exc)) from exc
-    _write(presentation_lines(t.after, rewrite_ideal(t, ideal)), None)
-    return 0
+    return presentation_lines(t.after, rewrite_ideal(t, ideal)), 0
 
 
-def _cmd_regrade(args) -> int:
+def _cmd_regrade(args) -> tuple[Iterable[str], int]:
     q, ideal = _load(args.file)
     try:
         result = regrade(q, ideal)
     except DiscrepancyLimit as exc:
         raise _CliFailure(str(exc)) from exc
-    _write(regrade_lines(result), args.output)
-    return 0
+    return regrade_lines(result), 0
 
 
-def _cmd_hilbert(args) -> int:
+def _cmd_hilbert(args) -> tuple[Iterable[str], int]:
     q, ideal = _load(args.file)
     if args.vertex is not None and not q.has_vertex(args.vertex):
         raise _CliFailure(f"unknown vertex {args.vertex!r}")
@@ -163,21 +164,24 @@ def _cmd_hilbert(args) -> int:
             gen.sum.to_field(field)
         except ZeroDivisionError as exc:
             raise _CliFailure(f"relation {gen}: {exc}; use --field q or another prime") from None
-    try:
-        for row in hilbert_table(q, ideal, args.max_degree, vertex=args.vertex, field=field):
-            print(f"{row.degree} {row.dim}")
-            if args.stats:
-                print(
-                    f"degree {row.degree}: {row.dim} normal paths, {row.basis_added} basis "
-                    f"elements added, {row.rows} echelon rows, {row.seconds:.4f}s",
-                    file=sys.stderr,
-                )
-    except PathCountLimit as exc:
-        raise _CliFailure(str(exc)) from exc
-    return 0
+
+    def rows():
+        try:
+            for row in hilbert_table(q, ideal, args.max_degree, vertex=args.vertex, field=field):
+                yield f"{row.degree} {row.dim}\n"
+                if args.stats:
+                    print(
+                        f"degree {row.degree}: {row.dim} normal paths, {row.basis_added} basis "
+                        f"elements added, {row.rows} echelon rows, {row.seconds:.4f}s",
+                        file=sys.stderr,
+                    )
+        except PathCountLimit as exc:
+            raise _CliFailure(str(exc)) from exc
+
+    return rows(), 0
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[Iterable[str], int]:
     if args.file is not None:
         _load(args.file)
     names = SUITE_NAMES if args.suite == "all" else (args.suite,)
@@ -190,13 +194,13 @@ def _cmd_verify(args) -> int:
     )
     started = time.perf_counter()
     reports = run_suites(names, cfg)
-    sys.stdout.write(render_reports(reports))
+    text = render_reports(reports)
     elapsed = time.perf_counter() - started
     for rep in reports:
         for r in rep.results:
             print(f"property {r.name}: {r.wall_time:.2f}s", file=sys.stderr)
     print(f"wall time: {elapsed:.2f}s", file=sys.stderr)
-    return 0 if all(rep.ok() for rep in reports) else 1
+    return [text], 0 if all(rep.ok() for rep in reports) else 1
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -261,7 +265,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.handler(args)
+        lines, status = args.handler(args)
+        _write(lines, getattr(args, "output", None))
+        return status
     except _CliFailure as exc:
         print(str(exc), file=sys.stderr)
         return 1

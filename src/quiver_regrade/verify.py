@@ -1,6 +1,6 @@
 """Randomized and golden verification suites.
 
-Three suites, each a list of named properties:
+Three suites, each a list of named properties in ``SUITES``:
 
 * ``split``: structural facts about single arrow splits and full regrades,
   and the behavior of the induced rewriting of path sums.
@@ -14,10 +14,12 @@ Every randomized trial draws its own RNG from (seed, property, trial), so a
 failure is replayable in isolation: given a counterexample's
 ``# replay: seed=S property=P trial=T`` line, feed the stream that
 ``randomgen.rng_for`` returns for (S, P, T) to the body of ``verify.prop_P``
-(one pass of its trial loop).  The trial loop, its count and its replay line
-live in ``_Recorder``; a property states only its check.  Report rendering
-contains no timing or environment data: two runs with the same arguments
-produce byte-identical text.
+(one pass of its trial loop).  ``prop_P`` takes the property's recorder and
+reads the run's settings from ``rec.cfg``; the trial loop, its count and its
+replay line live in ``_Recorder``, so a property states only its check.
+``run_suites`` makes each recorder, runs ``prop_P`` and times it.  Report
+rendering contains no timing or environment data: two runs with the same
+arguments produce byte-identical text.
 """
 
 from __future__ import annotations
@@ -82,7 +84,22 @@ from .representation import (
     shift,
 )
 
-SUITE_NAMES = ("split", "functor", "hilbert")
+# each suite's properties in report order; property P runs as ``prop_P``
+SUITES = {
+    "split": (
+        "split_golden_structure", "rewrite_golden", "discrepancy_decrement",
+        "rewrite_preserves_shape", "rewrite_multiplicative", "regrade_terminates",
+    ),
+    "functor": (
+        "collapse_expand_identity", "golden_commuting_loops", "relation_transport",
+        "shift_compatibility", "expansion_exactness", "counit_support", "counit_naturality",
+    ),
+    "hilbert": (
+        "expansion_dims", "golden_two_loop_table", "split_table_agreement",
+        "free_algebra_counts", "random_agreement",
+    ),
+}
+SUITE_NAMES = tuple(SUITES)
 
 
 @dataclass
@@ -123,9 +140,13 @@ class SuiteReport:
     def ok(self) -> bool:
         return all(r.ok for r in self.results)
 
-    def render_text(self) -> str:
-        lines = [f"[suite] {self.suite} (seed {self.seed})"]
-        for r in self.results:
+
+def render_reports(reports: list[SuiteReport]) -> str:
+    lines = []
+    total = failed = 0
+    for rep in reports:
+        lines.append(f"[suite] {rep.suite} (seed {rep.seed})")
+        for r in rep.results:
             status = "PASS" if r.ok else "FAIL"
             line = f"  {status} {r.name} trials={r.trials} failures={r.failures}"
             if r.warnings:
@@ -133,23 +154,14 @@ class SuiteReport:
             lines.append(line)
             if r.first_counterexample is not None:
                 lines.append("    first counterexample:")
-                for cl in r.first_counterexample.splitlines():
-                    lines.append(f"      {cl}")
-        failed = sum(1 for r in self.results if not r.ok)
-        lines.append(
-            f"[suite] {self.suite}: {len(self.results)} properties, {failed} failed"
-        )
-        return "\n".join(lines)
-
-
-def render_reports(reports: list[SuiteReport]) -> str:
-    body = "\n".join(rep.render_text() for rep in reports)
-    total = sum(len(rep.results) for rep in reports)
-    failed = sum(
-        sum(1 for r in rep.results if not r.ok) for rep in reports
-    )
+                lines.extend(f"      {cl}" for cl in r.first_counterexample.splitlines())
+        bad = sum(not r.ok for r in rep.results)
+        lines.append(f"[suite] {rep.suite}: {len(rep.results)} properties, {bad} failed")
+        total += len(rep.results)
+        failed += bad
     verdict = "OK" if failed == 0 else "FAILED"
-    return f"{body}\n[verify] {verdict}: {total} properties, {failed} failed\n"
+    lines.append(f"[verify] {verdict}: {total} properties, {failed} failed")
+    return "\n".join(lines) + "\n"
 
 
 def _presentation_lines(q: WeightedQuiver, ideal: IdealPresentation | None = None) -> list[str]:
@@ -203,29 +215,12 @@ class _Recorder:
     def warn(self):
         self.warnings += 1
 
-    def result(self) -> PropertyResult:
-        return PropertyResult(
-            self.name, self.trials, self.failures, self.warnings, self.first
-        )
-
-
-def _run(suite: str, cfg: SuiteConfig, *props) -> SuiteReport:
-    results = []
-    for prop in props:
-        started = time.perf_counter()
-        result = prop(cfg)
-        result.wall_time = time.perf_counter() - started
-        results.append(result)
-    return SuiteReport(suite, cfg.seed, results)
-
 
 # ---------------------------------------------------------------------------
 # split suite
 
 
-def prop_split_golden_structure(cfg: SuiteConfig) -> PropertyResult:
-    rec = _Recorder("split_golden_structure", cfg)
-
+def prop_split_golden_structure(rec: _Recorder) -> None:
     for deg in (2, 3):
         rec.trial(f"golden bridge split, heavy degree {deg}")
         q = bridge_quiver(deg)
@@ -265,11 +260,8 @@ def prop_split_golden_structure(cfg: SuiteConfig) -> PropertyResult:
     if (res.final_quiver, res.final_ideal) != kxy_split_presentation():
         rec.fail(["got:"] + _presentation_lines(res.final_quiver, res.final_ideal))
 
-    return rec.result()
 
-
-def prop_rewrite_golden(cfg: SuiteConfig) -> PropertyResult:
-    rec = _Recorder("rewrite_golden", cfg)
+def prop_rewrite_golden(rec: _Recorder) -> None:
     q = bridge_quiver(2)
     t = split_arrow(q, "b")
 
@@ -291,11 +283,9 @@ def prop_rewrite_golden(cfg: SuiteConfig) -> PropertyResult:
     _, want = kxy_split_presentation()
     if got_ideal != want:
         rec.fail([f"got {gen}" for gen in got_ideal], q, ideal)
-    return rec.result()
 
 
-def prop_discrepancy_decrement(cfg: SuiteConfig) -> PropertyResult:
-    rec = _Recorder("discrepancy_decrement", cfg)
+def prop_discrepancy_decrement(rec: _Recorder) -> None:
     for rng in rec.seeded():
         q = random_quiver(rng, require_heavy=True)
         name = pick_split_target(q)
@@ -317,11 +307,9 @@ def prop_discrepancy_decrement(cfg: SuiteConfig) -> PropertyResult:
         )
         if not ok:
             rec.fail([f"split arrow: {name}"], q)
-    return rec.result()
 
 
-def prop_rewrite_preserves_shape(cfg: SuiteConfig) -> PropertyResult:
-    rec = _Recorder("rewrite_preserves_shape", cfg)
+def prop_rewrite_preserves_shape(rec: _Recorder) -> None:
     for rng in rec.seeded():
         q = random_quiver(rng, require_heavy=True)
         t = split_arrow(q, pick_split_target(q))
@@ -339,11 +327,9 @@ def prop_rewrite_preserves_shape(cfg: SuiteConfig) -> PropertyResult:
         )
         if not ok:
             rec.fail([f"relation: {gen}"], q)
-    return rec.result()
 
 
-def prop_rewrite_multiplicative(cfg: SuiteConfig) -> PropertyResult:
-    rec = _Recorder("rewrite_multiplicative", cfg)
+def prop_rewrite_multiplicative(rec: _Recorder) -> None:
     for rng in rec.seeded():
         q = random_quiver(rng, require_heavy=True)
         t = split_arrow(q, pick_split_target(q))
@@ -369,11 +355,9 @@ def prop_rewrite_multiplicative(cfg: SuiteConfig) -> PropertyResult:
             ok = zero_before.is_zero() and zero_after.is_zero()
         if not ok:
             rec.fail([f"left: {x}", f"right: {y}"], q)
-    return rec.result()
 
 
-def prop_regrade_terminates(cfg: SuiteConfig) -> PropertyResult:
-    rec = _Recorder("regrade_terminates", cfg)
+def prop_regrade_terminates(rec: _Recorder) -> None:
     for rng in rec.seeded():
         q = random_quiver(rng)
         ideal = random_ideal(rng, q)
@@ -396,15 +380,10 @@ def prop_regrade_terminates(cfg: SuiteConfig) -> PropertyResult:
         )
         if not ok:
             rec.fail([], q, ideal)
-    return rec.result()
 
 
 def run_split_suite(cfg: SuiteConfig) -> SuiteReport:
-    return _run(
-        "split", cfg, prop_split_golden_structure, prop_rewrite_golden,
-        prop_discrepancy_decrement, prop_rewrite_preserves_shape,
-        prop_rewrite_multiplicative, prop_regrade_terminates,
-    )
+    return run_suites(("split",), cfg)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -417,18 +396,17 @@ def _random_split_setup(rng):
     return q, t
 
 
-def prop_collapse_expand_identity(cfg: SuiteConfig) -> PropertyResult:
-    rec = _Recorder("collapse_expand_identity", cfg)
+def prop_collapse_expand_identity(rec: _Recorder) -> None:
+    cfg = rec.cfg
     for rng in rec.seeded():
         q, t = _random_split_setup(rng)
         m = random_rep(rng, q, cfg.window, cfg.field, cfg.max_dim)
         if collapse_rep(t, expand_rep(t, m)) != m:
             rec.fail([f"split arrow: {t.split_arrow}"], q)
-    return rec.result()
 
 
-def prop_golden_commuting_loops(cfg: SuiteConfig) -> PropertyResult:
-    rec = _Recorder("golden_commuting_loops", cfg)
+def prop_golden_commuting_loops(rec: _Recorder) -> None:
+    cfg = rec.cfg
     q, ideal = kxy_presentation()
     res = regrade(q, ideal)
     for rng in rec.seeded(min(cfg.trials, 25)):
@@ -440,11 +418,10 @@ def prop_golden_commuting_loops(cfg: SuiteConfig) -> PropertyResult:
         back = collapse_rep_along(res.trace, n)
         if not (ok_m and ok_n and back == m):
             rec.fail([f"violations: {bad}"], q, ideal)
-    return rec.result()
 
 
-def prop_relation_transport(cfg: SuiteConfig) -> PropertyResult:
-    rec = _Recorder("relation_transport", cfg)
+def prop_relation_transport(rec: _Recorder) -> None:
+    cfg = rec.cfg
     for rng in rec.seeded():
         q, t = _random_split_setup(rng)
         ideal = random_ideal(rng, q)
@@ -469,18 +446,16 @@ def prop_relation_transport(cfg: SuiteConfig) -> PropertyResult:
             if detail:
                 rec.fail(detail, q, ideal)
                 break
-    return rec.result()
 
 
-def prop_shift_compatibility(cfg: SuiteConfig) -> PropertyResult:
-    rec = _Recorder("shift_compatibility", cfg)
+def prop_shift_compatibility(rec: _Recorder) -> None:
+    cfg = rec.cfg
     for rng in rec.seeded():
         q, t = _random_split_setup(rng)
         m = random_rep(rng, q, cfg.window, cfg.field, cfg.max_dim)
         n = rng.randint(-2, 2)
         if expand_rep(t, shift(m, n)) != shift(expand_rep(t, m), n):
             rec.fail([f"shift: {n}"], q)
-    return rec.result()
 
 
 def _exactness_defects(incl: GradedMorphism, proj: GradedMorphism) -> list[str]:
@@ -500,8 +475,8 @@ def _exactness_defects(incl: GradedMorphism, proj: GradedMorphism) -> list[str]:
     return defects
 
 
-def prop_expansion_exactness(cfg: SuiteConfig) -> PropertyResult:
-    rec = _Recorder("expansion_exactness", cfg)
+def prop_expansion_exactness(rec: _Recorder) -> None:
+    cfg = rec.cfg
     for rng in rec.seeded():
         q, t = _random_split_setup(rng)
         a = random_rep(rng, q, cfg.window, cfg.field, cfg.max_dim)
@@ -514,11 +489,10 @@ def prop_expansion_exactness(cfg: SuiteConfig) -> PropertyResult:
         )
         if defects:
             rec.fail(defects[:3], q)
-    return rec.result()
 
 
-def prop_counit_support(cfg: SuiteConfig) -> PropertyResult:
-    rec = _Recorder("counit_support", cfg)
+def prop_counit_support(rec: _Recorder) -> None:
+    cfg = rec.cfg
     for rng in rec.seeded():
         q, t = _random_split_setup(rng)
         n = random_rep(rng, t.after, cfg.window, cfg.field, cfg.max_dim)
@@ -543,11 +517,10 @@ def prop_counit_support(cfg: SuiteConfig) -> PropertyResult:
 
         if stray or not acts or not iso:
             rec.fail([f"support off fresh vertex: {stray}", f"round-trip iso: {iso}"], q)
-    return rec.result()
 
 
-def prop_counit_naturality(cfg: SuiteConfig) -> PropertyResult:
-    rec = _Recorder("counit_naturality", cfg)
+def prop_counit_naturality(rec: _Recorder) -> None:
+    cfg = rec.cfg
     for rng in rec.seeded():
         q, t = _random_split_setup(rng)
         n1 = random_rep(rng, t.after, cfg.window, cfg.field, cfg.max_dim)
@@ -561,24 +534,19 @@ def prop_counit_naturality(cfg: SuiteConfig) -> PropertyResult:
         bad = [slot for slot in sorted(shared) if lhs.blocks[slot] != rhs.blocks[slot]]
         if bad:
             rec.fail([f"square fails at: {bad[:4]}"], q)
-    return rec.result()
 
 
 def run_functor_suite(cfg: SuiteConfig) -> SuiteReport:
-    return _run(
-        "functor", cfg, prop_collapse_expand_identity, prop_golden_commuting_loops,
-        prop_relation_transport, prop_shift_compatibility, prop_expansion_exactness,
-        prop_counit_support, prop_counit_naturality,
-    )
+    return run_suites(("functor",), cfg)[0]
 
 
 # ---------------------------------------------------------------------------
 # hilbert suite
 
 
-def prop_expansion_dims(cfg: SuiteConfig) -> PropertyResult:
+def prop_expansion_dims(rec: _Recorder) -> None:
     """Definitional dimension bookkeeping of the transport across a split."""
-    rec = _Recorder("expansion_dims", cfg)
+    cfg = rec.cfg
     for rng in rec.seeded():
         q, t = _random_split_setup(rng)
         m = random_rep(rng, q, cfg.window, cfg.field, cfg.max_dim)
@@ -596,11 +564,10 @@ def prop_expansion_dims(cfg: SuiteConfig) -> PropertyResult:
                 ok = ok and (t.new_vertex, d + 1) in fm.dims
         if not ok:
             rec.fail([f"split arrow: {t.split_arrow}"], q)
-    return rec.result()
 
 
-def prop_golden_two_loop_table(cfg: SuiteConfig) -> PropertyResult:
-    rec = _Recorder("golden_two_loop_table", cfg)
+def prop_golden_two_loop_table(rec: _Recorder) -> None:
+    cfg = rec.cfg
     q, ideal = kxy_presentation()
     top = cfg.max_degree
     tables = zip(hilbert_table(q, ideal, top), hilbert_table(q, ideal, top, field=cfg.field))
@@ -613,11 +580,10 @@ def prop_golden_two_loop_table(cfg: SuiteConfig) -> PropertyResult:
         got_naive = graded_dim_naive(q, ideal, d) if d <= 6 else want
         if not (got == want and got_naive == want and got_p == want):
             rec.fail([f"want {want}, got {got} / naive {got_naive} / mod-p {got_p}"], q, ideal)
-    return rec.result()
 
 
-def prop_split_table_agreement(cfg: SuiteConfig) -> PropertyResult:
-    rec = _Recorder("split_table_agreement", cfg)
+def prop_split_table_agreement(rec: _Recorder) -> None:
+    cfg = rec.cfg
     res = regrade(*kxy_presentation())
     q, ideal = res.final_quiver, res.final_ideal
     top = cfg.max_degree
@@ -635,11 +601,9 @@ def prop_split_table_agreement(cfg: SuiteConfig) -> PropertyResult:
         if not (total == by_vertex and total == modp and corner == corner_naive):
             rec.fail([f"primary {total}, mod-p {modp}, by-vertex sum {by_vertex}, "
                       f"corner {corner} vs naive {corner_naive}"], q, ideal)
-    return rec.result()
 
 
-def prop_free_algebra_counts(cfg: SuiteConfig) -> PropertyResult:
-    rec = _Recorder("free_algebra_counts", cfg)
+def prop_free_algebra_counts(rec: _Recorder) -> None:
     empty = IdealPresentation.of([])
     for rng in rec.seeded():
         q = random_quiver(rng, max_vertices=3, max_arrows=3)
@@ -651,11 +615,10 @@ def prop_free_algebra_counts(cfg: SuiteConfig) -> PropertyResult:
             continue
         if got != len(paths):
             rec.fail([f"degree {d}: {got} != path count {len(paths)}"], q)
-    return rec.result()
 
 
-def prop_random_agreement(cfg: SuiteConfig) -> PropertyResult:
-    rec = _Recorder("random_agreement", cfg)
+def prop_random_agreement(rec: _Recorder) -> None:
+    cfg = rec.cfg
     for rng in rec.seeded():
         q = random_quiver(rng, max_vertices=3, max_arrows=3)
         gen = random_relation(rng, q, max_degree=3)
@@ -672,26 +635,28 @@ def prop_random_agreement(cfg: SuiteConfig) -> PropertyResult:
             rec.warn()
         if not (primary == second and 0 <= primary <= count):
             rec.fail([f"degree {d}: primary {primary}, naive {second}"], q, ideal)
-    return rec.result()
 
 
 def run_hilbert_suite(cfg: SuiteConfig) -> SuiteReport:
-    return _run(
-        "hilbert", cfg, prop_expansion_dims, prop_golden_two_loop_table,
-        prop_split_table_agreement, prop_free_algebra_counts, prop_random_agreement,
-    )
+    return run_suites(("hilbert",), cfg)[0]
 
 
 # ---------------------------------------------------------------------------
 
 
 def run_suites(names, cfg: SuiteConfig) -> list[SuiteReport]:
-    runners = {
-        "split": run_split_suite,
-        "functor": run_functor_suite,
-        "hilbert": run_hilbert_suite,
-    }
     for name in names:
-        if name not in runners:
+        if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}; expected one of {SUITE_NAMES}")
-    return [runners[name](cfg) for name in names]
+    reports = []
+    for suite in names:
+        results = []
+        for name in SUITES[suite]:
+            rec = _Recorder(name, cfg)
+            started = time.perf_counter()
+            # looked up at call time, so a patched ``prop_P`` is the one that runs
+            globals()[f"prop_{name}"](rec)
+            results.append(PropertyResult(name, rec.trials, rec.failures, rec.warnings,
+                                          rec.first, time.perf_counter() - started))
+        reports.append(SuiteReport(suite, cfg.seed, results))
+    return reports

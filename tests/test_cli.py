@@ -217,15 +217,45 @@ class _FullStdout(io.TextIOBase):
         raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
 
+# every subcommand, each run so that it succeeds on a working stdout
+SUBCOMMANDS = {
+    "validate": ["validate", "KXY"],
+    "discrepancy": ["discrepancy", "KXY"],
+    "split": ["split", "KXY", "--arrow", "y"],
+    "regrade": ["regrade", "KXY"],
+    "hilbert": ["hilbert", "KXY", "--max-degree", "3"],
+    "verify": ["verify", "--suite", "split", "--trials", "2"],
+}
+
+
 class TestWriteFailure:
-    @pytest.mark.parametrize("argv", [["regrade", "KXY"], ["split", "KXY", "--arrow", "y"]],
-                             ids=["regrade", "split"])
+    """All six subcommands write stdout through one writer: a stdout that
+    cannot be written is one diagnostic line and exit 1, never a traceback."""
+
+    @staticmethod
+    def _fails(argv, kxy_file, capsys, diagnostic):
+        assert main([kxy_file if a == "KXY" else a for a in argv]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        *before, last = err.splitlines()
+        assert last == f"cannot write stdout: {diagnostic}"
+        if argv[0] == "verify":
+            # the property times are measured, and written, before the report
+            assert re.fullmatch(r"wall time: \d+\.\d\ds", before[-1])
+            assert all(re.fullmatch(r"property \w+: \d+\.\d\ds", line) for line in before[:-1])
+        else:
+            assert before == []
+
+    @pytest.mark.parametrize("argv", SUBCOMMANDS.values(), ids=SUBCOMMANDS.keys())
     def test_full_stdout_is_a_failure(self, argv, kxy_file, monkeypatch, capsys):
         monkeypatch.setattr(sys, "stdout", _FullStdout())
-        assert main([kxy_file if a == "KXY" else a for a in argv]) == 1
-        assert capsys.readouterr().err.splitlines() == [
-            f"cannot write stdout: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
-        ]
+        self._fails(argv, kxy_file, capsys, f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}")
+
+    @pytest.mark.parametrize("argv", SUBCOMMANDS.values(), ids=SUBCOMMANDS.keys())
+    def test_closed_stdout_is_a_failure(self, argv, kxy_file, monkeypatch, capsys):
+        # a process started with stdout closed (`>&-`) has sys.stdout None
+        monkeypatch.setattr(sys, "stdout", None)
+        self._fails(argv, kxy_file, capsys, "stdout is closed")
 
 
 def _hilbert_table(argv, capsys) -> list[tuple[int, int]]:

@@ -93,6 +93,37 @@ class TestRunSuites:
             run_suites(("bogus",), SMALL)
 
 
+class TestSuiteTable:
+    """A property is named by its ``def`` and its entry in ``verify.SUITES``."""
+
+    def test_every_property_is_in_exactly_one_suite(self):
+        props = sorted(a[len("prop_"):] for a in vars(verify) if a.startswith("prop_"))
+        listed = [name for names in verify.SUITES.values() for name in names]
+        assert sorted(listed) == props
+        assert verify.SUITE_NAMES == tuple(verify.SUITES) == ("split", "functor", "hilbert")
+
+    def test_table_order_is_report_order(self, small_reports):
+        got = {rep.suite: tuple(r.name for r in rep.results) for rep in small_reports}
+        assert list(got.items()) == list(verify.SUITES.items())
+
+    def test_property_is_looked_up_when_it_runs(self, monkeypatch):
+        # a patched module attribute, called with the recorder alone, is what runs
+        seen = []
+
+        def spy(rec):
+            seen.append((rec.name, rec.cfg.trials))
+            rec.trial("spied trial")
+            rec.fail(["spied failure"])
+
+        monkeypatch.setattr(verify, "prop_rewrite_golden", spy)
+        report, = run_suites(("split",), SuiteConfig(trials=2))
+        assert seen == [("rewrite_golden", 2)]
+        result = next(r for r in report.results if r.name == "rewrite_golden")
+        assert (result.trials, result.failures) == (1, 1)
+        assert result.first_counterexample == "# replay: spied trial\n# spied failure"
+        assert [r.name for r in report.results] == list(verify.SUITES["split"])
+
+
 class TestDeterminism:
     def test_byte_identical_reports(self):
         cfg = SuiteConfig(seed=11, trials=8, max_degree=5)
@@ -206,7 +237,9 @@ class TestStreamContract:
             assert callable(getattr(verify, f"prop_{r.name}"))
 
     def test_golden_commuting_loops_caps_its_streams(self, monkeypatch):
-        result, calls = self._streams(
-            monkeypatch, lambda: verify.prop_golden_commuting_loops(SuiteConfig(seed=2, trials=30)))
+        report, calls = self._streams(
+            monkeypatch, lambda: run_functor_suite(SuiteConfig(seed=2, trials=30)))
+        result = next(r for r in report.results if r.name == "golden_commuting_loops")
+        calls = [c for c in calls if c[1] == "golden_commuting_loops"]
         assert result.trials == 25
         assert calls == [(2, "golden_commuting_loops", t) for t in range(25)]
