@@ -2,10 +2,10 @@
 
 Subcommands: validate, discrepancy, split, regrade, hilbert, verify.
 Each handler returns its stdout lines and its exit status, and ``main``
-writes the lines through one writer, so a full or closed stdout is a
-``cannot write stdout`` failure for every subcommand.  Diagnostics and
-timing go to stderr.  Exit codes: 0 success, 1 validation or verification
-failure, 2 usage error.
+writes the lines through one writer, which also writes the ``-h`` help, so
+a full or closed stdout is a ``cannot write stdout`` failure for every
+subcommand and for the help.  Diagnostics and timing go to stderr.  Exit
+codes: 0 success, 1 validation or verification failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -126,6 +126,19 @@ def _write(lines: Iterable[str], output: str | None) -> None:
         raise _CliFailure(f"cannot write {name}: {exc}") from exc
 
 
+class _Parser(argparse.ArgumentParser):
+    """Writes its help through :func:`_write`, so ``-h`` fails on a full or
+    closed stdout as a subcommand does; subparsers take this class too."""
+
+    def print_help(self, file=None):
+        if file is not None:
+            return super().print_help(file)
+        try:
+            _write([self.format_help()], None)
+        except _CliFailure as exc:
+            self.exit(1, f"{exc}\n")
+
+
 def _cmd_validate(args) -> tuple[Iterable[str], int]:
     _load(args.file)
     return ["ok\n"], 0
@@ -204,7 +217,7 @@ def _cmd_verify(args) -> tuple[Iterable[str], int]:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="quiver-regrade",
         description="Regrade weighted quiver presentations to degree-1 "
         "generation and verify the representation transport.",

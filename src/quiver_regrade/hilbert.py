@@ -12,11 +12,12 @@ and cut off at the requested degree, below which it is exact.  At degree d
 the candidates are the generators of degree d and the S-elements of degree
 d, which come from overlaps where a proper suffix of one leading path is a
 proper prefix of another.  They are reduced F4 style in the shared
-:class:`~quiver_regrade.linalg.Echelon`: every reducible path met gets one
-reducer u*g*v, the columns are the paths in descending order and the
-reducers go in first, so each candidate that raises the rank brings a new
-leading path, its pivot column.  A degree-0 generator c*e_v puts every path
-through v in the ideal; v and its arrows are dropped instead.
+:class:`~quiver_regrade.linalg.Echelon`, columns the paths in descending
+order.  Every reducible path p met gets one reducer u*g*v, p = u*lead(g)*v,
+monic at p, its largest path: it goes in as the pivot row of p as it is.
+Each candidate goes in once; one that raises the rank brings a new leading
+path, its pivot column.  A degree-0 generator c*e_v puts every path through
+v in the ideal; v and its arrows are dropped instead.
 
 :func:`hilbert_table` then walks the normal paths degree by degree.  The
 prefixes of a normal path are normal, so extending one by an arrow checks
@@ -105,7 +106,7 @@ class _Basis:
         if not cands:
             return 0, 0
         elements = self.elements
-        reducers: list[Poly] = []
+        reducers: list[tuple[Word, Poly]] = []  # (leading path, reducer)
         seen: set[Word] = set()
         todo = [p for c in cands for p in c]
         while todo:
@@ -118,19 +119,17 @@ class _Basis:
                 i, lead = hit
                 u, v = p[:i], p[i + len(lead):]
                 r = {u + w + v: c for w, c in elements[lead].items()}
-                reducers.append(r)
+                reducers.append((p, r))
                 todo.extend(r)
         cols = sorted(seen, reverse=True)
         index = {p: j for j, p in enumerate(cols)}
         ech = Echelon(self.field)
-        for r in reducers:
-            ech.add({index[p]: c for p, c in r.items()})
+        for p, r in reducers:  # monic at p, its largest path: a pivot row as it is
+            ech.pivots[index[p]] = {index[w]: c for w, c in r.items()}
         added = 0
         for cand in cands:
-            row = ech.reduce({index[p]: c for p, c in cand.items()})
-            if row:
-                pivot = min(row)
-                ech.add(row)
+            pivot = ech.add({index[p]: c for p, c in cand.items()})
+            if pivot is not None:
                 poly = {cols[j]: c for j, c in ech.pivots[pivot].items()}
                 self._insert(cols[pivot], poly, degree)
                 added += 1

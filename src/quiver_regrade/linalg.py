@@ -26,8 +26,9 @@ Elimination is done twice, by independently coded routines:
 
 * :class:`Echelon` - the one elimination kernel.  Rows go in sparse, as
   ``{col: scalar}``, and the echelon form comes out as a pivot map from each
-  pivot column to its monic row.  It is written only against the field
-  interface, so the rationals and every prime field share it.
+  pivot column to its monic row, its other entries to its right; the rows
+  need not be reduced against each other.  It is written only against the
+  field interface, so the rationals and every prime field share it.
   :meth:`Echelon.solve` is its one solver: it completes values given at the
   columns without a pivot to the one solution of the stored rows.
   :func:`rank` counts pivots; :func:`kernel_basis` solves once per free
@@ -199,8 +200,8 @@ class Echelon:
     """Row echelon form of a growing row family, rows stored sparse.
 
     ``pivots`` maps each pivot column to a monic row ``{col: scalar}`` whose
-    other entries lie to the right of it.  Rows go in one at a time, so a
-    caller can stop as soon as the rank it needs is reached.
+    other entries, pivot columns too, lie to its right.  Rows go in one at
+    a time, so a caller can stop as soon as the rank it needs is reached.
     """
 
     def __init__(self, field: Field):
@@ -238,16 +239,16 @@ class Echelon:
                         heappush(heap, k)
         return row
 
-    def add(self, row: dict[int, Scalar]) -> bool:
-        """Reduce ``row`` and store it monic; True if the rank went up."""
+    def add(self, row: dict[int, Scalar]) -> int | None:
+        """Reduce ``row`` and store it monic; its new pivot column, or None if dependent."""
         row = self.reduce(row)
         if not row:
-            return False
+            return None
         c = min(row)
         inv = self.field.inv(row[c])
         mul = self.field.mul
         self.pivots[c] = {k: mul(inv, v) for k, v in row.items()}
-        return True
+        return c
 
     def solve(self, values: dict[int, Scalar]) -> dict[int, Scalar]:
         """The one solution of the stored rows that takes ``values``, given at
@@ -276,7 +277,7 @@ def rank(m: Matrix) -> int:
     for row in m.entries:
         if r == m.cols:
             break
-        r += ech.add(_sparse(f, row))
+        r += ech.add(_sparse(f, row)) is not None
     return r
 
 

@@ -226,11 +226,14 @@ SUBCOMMANDS = {
     "hilbert": ["hilbert", "KXY", "--max-degree", "3"],
     "verify": ["verify", "--suite", "split", "--trials", "2"],
 }
+# what writes stdout: every subcommand, and the help of the tool and of a subcommand
+WRITERS = {**SUBCOMMANDS, "help": ["-h"], "hilbert-help": ["hilbert", "-h"]}
 
 
 class TestWriteFailure:
-    """All six subcommands write stdout through one writer: a stdout that
-    cannot be written is one diagnostic line and exit 1, never a traceback."""
+    """All six subcommands and the help write stdout through one writer: a
+    stdout that cannot be written is one diagnostic line and exit 1, never a
+    traceback."""
 
     @staticmethod
     def _fails(argv, kxy_file, capsys, diagnostic):
@@ -246,12 +249,12 @@ class TestWriteFailure:
         else:
             assert before == []
 
-    @pytest.mark.parametrize("argv", SUBCOMMANDS.values(), ids=SUBCOMMANDS.keys())
+    @pytest.mark.parametrize("argv", WRITERS.values(), ids=WRITERS.keys())
     def test_full_stdout_is_a_failure(self, argv, kxy_file, monkeypatch, capsys):
         monkeypatch.setattr(sys, "stdout", _FullStdout())
         self._fails(argv, kxy_file, capsys, f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}")
 
-    @pytest.mark.parametrize("argv", SUBCOMMANDS.values(), ids=SUBCOMMANDS.keys())
+    @pytest.mark.parametrize("argv", WRITERS.values(), ids=WRITERS.keys())
     def test_closed_stdout_is_a_failure(self, argv, kxy_file, monkeypatch, capsys):
         # a process started with stdout closed (`>&-`) has sys.stdout None
         monkeypatch.setattr(sys, "stdout", None)

@@ -181,6 +181,25 @@ class TestTable:
         assert [row.basis_added for row in rows] == [0, 0, 3, 0, 0]
         assert [row.rows for row in rows] == [0, 0, 3, 5, 0]
 
+    # two vertices, arrows of degrees 1 and 2, relations of degrees 2 to 4
+    TWO_VERTEX = (
+        "[quiver]\nvertex u\nvertex v\n"
+        "arrow a u v 1\narrow b v u 1\narrow c u u 2\narrow x v v 1\narrow y v v 2\n"
+        "[relations]\na*b - c\nc*a - a*x*x + 2*a*y\nb*a*b - x*x*b\nx*y - y*x\nb*c*a - y*x*x\n"
+    )
+
+    @pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["q", "p32003"])
+    def test_work_counts_two_vertices(self, field):
+        # (dim, basis_added, rows) per degree: the rows given to Echelon and
+        # the basis it grows are pinned, not only the dimensions
+        q, ideal = parse_presentation(self.TWO_VERTEX)
+        rows = [(r.dim, r.basis_added, r.rows) for r in hilbert_table(q, ideal, 9, field=field)]
+        assert rows == [
+            (2, 0, 0), (3, 0, 0), (6, 1, 1), (9, 3, 4), (13, 2, 5),
+            (16, 3, 7), (17, 3, 11), (17, 2, 26), (19, 0, 36), (21, 0, 31),
+        ]
+        assert [r[0] for r in rows[:7]] == [graded_dim_naive(q, ideal, d, field=field) for d in range(7)]
+
     def test_bad_arguments(self, kxy):
         q, ideal = kxy
         with pytest.raises(ValueError):

@@ -321,6 +321,63 @@ class TestSolve:
                 assert field.is_zero(field.dot(row, [x[j] for j in range(c)]))
 
 
+class TestPivotRows:
+    """``Echelon.pivots`` asks only that each row be monic at its pivot with its
+    other entries to the right; the rows need not be reduced against each other."""
+
+    @staticmethod
+    def _random_row(field, rng, cols):
+        row = {j: field.from_int(rng.choice((0, 0, 1, -1, 2, -3))) for j in range(cols)}
+        return {j: a for j, a in row.items() if not field.is_zero(a)}
+
+    @pytest.mark.parametrize("field", [QQ, GF(32003)], ids=lambda f: f.spec)
+    def test_unreduced_pivot_rows_reduce_and_solve_alike(self, field):
+        rng = random.Random("linalg-pivot-rows")
+        unreduced = 0
+        for _ in range(200):
+            cols = rng.randint(1, 9)
+            pivot_cols = sorted(rng.sample(range(cols), rng.randint(0, cols)))
+            stored = {}  # monic at c, random to its right, other pivot columns too
+            for c in pivot_cols:
+                right = self._random_row(field, rng, cols).items()
+                stored[c] = {c: field.one, **{j: a for j, a in right if j > c}}
+            direct = Echelon(field)
+            direct.pivots.update(stored)
+            added = Echelon(field)
+            for c in reversed(pivot_cols):  # each reduced against the ones to its right
+                assert added.add(stored[c]) == c
+            assert sorted(added.pivots) == pivot_cols
+            unreduced += direct.pivots != added.pivots
+            for _ in range(5):
+                row = self._random_row(field, rng, cols)
+                assert direct.reduce(row) == added.reduce(row)
+            values = {c: field.from_int(rng.randint(-3, 3)) for c in range(cols) if c not in stored}
+            assert direct.solve(values) == added.solve(values)
+        assert unreduced > 50  # the two echelons differ in their rows, not in what they give
+
+    @pytest.mark.parametrize("field", [QQ, GF(32003)], ids=lambda f: f.spec)
+    def test_add_returns_the_new_pivot(self, field):
+        rng = random.Random("linalg-add-pivot")
+        for _ in range(100):
+            cols = rng.randint(1, 8)
+            ech = Echelon(field)
+            for _ in range(cols + 2):
+                row = self._random_row(field, rng, cols)
+                remainder = ech.reduce(row)
+                before = dict(ech.pivots)
+                pivot = ech.add(row)
+                if remainder:
+                    assert pivot == min(remainder)
+                    inv = field.inv(remainder[pivot])
+                    assert ech.pivots == {**before, pivot: {k: field.mul(inv, v) for k, v in remainder.items()}}
+                else:
+                    assert pivot is None
+                    assert ech.pivots == before
+            dense = [[row.get(j, field.zero) for j in range(cols)] for row in ech.pivots.values()]
+            m = Matrix.from_rows(field, dense, cols)
+            assert rank(m) == len(ech.pivots) == rank_naive(m)
+
+
 @pytest.mark.parametrize("field", FIELDS)
 def test_pivot_map_readers_match_dense_reference(field):
     rng = random.Random("linalg-dense-reference")
