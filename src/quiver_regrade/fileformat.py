@@ -144,7 +144,8 @@ def _parse_expression(text: str, line: int, q: WeightedQuiver) -> PathSum:
         elif number and state != "factor":
             num, _, den = number.partition("/")
             try:
-                coeff = Fraction(sign * int(num), int(den or 1))
+                # an integer needs no gcd: Fraction(n) is already in lowest terms
+                coeff = Fraction(sign * int(num), int(den)) if den else Fraction(sign * int(num))
             except ZeroDivisionError:
                 fail_at(i, f"coefficient {number} has a zero denominator")
             except ValueError:  # past the interpreter's limit on integer digits

@@ -83,17 +83,27 @@ class PathSum:
 
     @staticmethod
     def make(field: Field, items: Iterable[tuple[Path, Scalar]]) -> "PathSum":
-        if field.char:  # F_p: every coefficient into range(p)
+        """The canonical sum of ``items``: over F_p every coefficient is
+        first reduced into range(p); then one stable sort by ``term_key``
+        brings equal paths together, each run of equal neighbours is added
+        up in the order given, and the terms that sum to zero are dropped.
+        No path is hashed."""
+        if field.char:
             conv = field.from_fraction
             items = [(path, conv(c)) for path, c in items]
-        acc: dict[Path, Scalar] = {}
-        get, add = acc.get, field.add
-        for path, coeff in items:
-            prev = get(path)
-            acc[path] = coeff if prev is None else add(prev, coeff)
+        add = field.add
+        merged: list[tuple[Path, Scalar]] = []
+        prev = prev_arrows = None
+        for term in sorted(items, key=term_key):
+            path = term[0]
+            # sorted neighbours mostly differ in their arrows, cheap to compare
+            if path.arrows == prev_arrows and path == prev:
+                merged[-1] = (prev, add(merged[-1][1], term[1]))
+            else:
+                merged.append(term)
+                prev, prev_arrows = path, path.arrows
         is_zero = field.is_zero
-        terms = tuple(sorted([t for t in acc.items() if not is_zero(t[1])], key=term_key))
-        return PathSum(field, terms)
+        return PathSum(field, tuple([t for t in merged if not is_zero(t[1])]))
 
     @staticmethod
     def zero(field: Field) -> "PathSum":

@@ -26,9 +26,10 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heapify, heappop, heappush
-from operator import attrgetter
+from itertools import chain
+from operator import attrgetter, itemgetter
 
-from .paths import IdealPresentation, Path, PathSum, UniformElement, term_key
+from .paths import IdealPresentation, Path, PathSum, UniformElement
 from .quiver import Arrow, WeightedQuiver, weight_discrepancy
 
 # A split costs O(1) index work plus a heap step, and a regrade builds one
@@ -181,23 +182,39 @@ def split_arrow(q: WeightedQuiver, name: str) -> SplitTrace:
 Substitution = dict[str, tuple[str, ...]]
 
 
+def _expand_names(names: tuple[str, ...], sub: Substitution) -> tuple[str, ...]:
+    """``names`` with each name in ``sub`` replaced by its tuple, or ``names``
+    itself when ``sub`` moves none of them.  One pass, linear in the result:
+    ``zip(names)`` gives each name's 1-tuple, the default of ``sub.get``."""
+    if sub.keys().isdisjoint(names):
+        return names
+    return tuple(chain.from_iterable(map(sub.get, names, zip(names))))
+
+
 def _expand(p: Path, sub: Substitution) -> Path:
     """Replace each arrow named in ``sub`` by its tuple of arrows."""
-    if sub.keys().isdisjoint(p.arrows):
-        return p
-    names = tuple(m for n in p.arrows for m in sub.get(n, (n,)))
-    return Path(p.source, p.target, p.degree, names)
+    names = _expand_names(p.arrows, sub)
+    return p if names is p.arrows else Path(p.source, p.target, p.degree, names)
 
 
 def _transport(x: UniformElement, sub: Substitution) -> UniformElement:
     """``x`` with ``sub`` applied to every path, still canonical.
 
-    The substitution is injective on paths and ``x`` is canonical, so the
-    moved terms are distinct and nonzero already: one sort restores the
-    canonical order, with no merging of terms.
+    The terms of ``x`` share its degree, source and target, so their
+    canonical order (``term_key``) is the order of their arrow names: the
+    terms are sorted as ``(names, coeff, path)`` by their expanded names
+    alone.  The substitution is injective on paths and ``x`` is canonical,
+    so the moved terms are distinct and nonzero already, with no merging.
+    A moved path is built once, after the sort; an unmoved one is kept.
     """
-    moved = tuple(sorted([(_expand(p, sub), c) for p, c in x.sum.terms], key=term_key))
-    return UniformElement(PathSum(x.sum.field, moved), x.source, x.target, x.degree)
+    entries = [(_expand_names(p.arrows, sub), c, p) for p, c in x.sum.terms]
+    entries.sort(key=itemgetter(0))
+    source, target, degree = x.source, x.target, x.degree
+    moved = tuple([
+        (p if names is p.arrows else Path(source, target, degree, names), c)
+        for names, c, p in entries
+    ])
+    return UniformElement(PathSum(x.sum.field, moved), source, target, degree)
 
 
 def _transport_ideal(ideal: IdealPresentation, sub: Substitution) -> IdealPresentation:

@@ -367,3 +367,51 @@ def kxy_module():
     from quiver_regrade.catalog import kxy_presentation
 
     return kxy_presentation()
+
+
+# Paths for the PathSum.make property: every path of kxy to degree 4 and of
+# the bridge to degree 3, trivial paths included.  Each sum draws from one.
+MAKE_POOLS = {
+    "kxy": [p for d in range(5) for p in enumerate_paths(kxy_presentation()[0], d)],
+    "bridge": [p for d in range(4) for p in enumerate_paths(bridge_quiver(2), d)],
+}
+
+
+@st.composite
+def make_items(draw, field):
+    """(path, coefficient) items with repeated paths, cancelling pairs and a
+    shuffled order; over F_7 the coefficients are unreduced ints."""
+    pool = MAKE_POOLS[draw(st.sampled_from(sorted(MAKE_POOLS)))]
+    if field.char:
+        coeffs = st.integers(-30, 30)
+    else:
+        coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+    items = draw(st.lists(st.tuples(st.sampled_from(pool), coeffs), max_size=12))
+    if items:
+        items += draw(st.lists(st.sampled_from(items), max_size=4))
+        items += [(p, -c) for p, c in draw(st.lists(st.sampled_from(items), max_size=4))]
+    return draw(st.permutations(items))
+
+
+def reference_make_terms(field, items):
+    """What PathSum.make must give, computed without it: coefficients summed
+    per path in a dict, reduced mod p over F_p, zeros dropped, sorted by
+    Path.sort_key."""
+    acc: dict = {}
+    for p, c in items:
+        acc[p] = acc.get(p, 0) + c
+    if field.char:
+        acc = {p: c % field.char for p, c in acc.items()}
+    return tuple(sorted(((p, c) for p, c in acc.items() if c != 0), key=lambda t: t[0].sort_key()))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=lambda f: f.spec)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_make_matches_a_dict_reference(field, data):
+    items = data.draw(make_items(field))
+    terms = PathSum.make(field, iter(items)).terms
+    assert terms == reference_make_terms(field, items)
+    keys = [p.sort_key() for p, _ in terms]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    assert not any(field.is_zero(c) for _, c in terms)
