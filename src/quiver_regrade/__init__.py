@@ -93,8 +93,5 @@ from .verify import (
     SuiteConfig,
     SuiteReport,
     render_reports,
-    run_functor_suite,
-    run_hilbert_suite,
-    run_split_suite,
     run_suites,
 )

@@ -79,7 +79,6 @@ class _Basis:
         self.top = top
         self.limit = limit
         self.elements: dict[Word, Poly] = {}
-        self.lengths: set[int] = set()
         self.ending: dict[str, set[int]] = {}  # last arrow -> leading path lengths
         self.weight: dict[Word, int] = {}  # degree of each leading path below the cut
         self.by_prefix: dict[Word, list[Word]] = {}
@@ -91,13 +90,18 @@ class _Basis:
         self.pending.setdefault(degree, []).append(poly)
 
     def divisor(self, p: Word) -> tuple[int, Word] | None:
-        """The first leading path inside ``p``, with its offset."""
-        elements = self.elements
-        for i in range(len(p)):
-            for k in self.lengths:
-                w = p[i:i + k]
-                if w in elements:
-                    return i, w
+        """The first leading path inside ``p``, with its offset.
+
+        The leading paths form an antichain: each is normal with respect to
+        the earlier ones, and two of one degree are equal if one contains
+        the other.  So the one inside ``p`` that ends first also starts
+        first, and it is found through ``ending`` by its last arrow.
+        """
+        elements, ending = self.elements, self.ending
+        for j, x in enumerate(p, 1):
+            for k in ending.get(x, ()):
+                if k <= j and (w := p[j - k:j]) in elements:
+                    return j - k, w
         return None
 
     def grow(self, degree: int) -> tuple[int, int]:
@@ -140,7 +144,6 @@ class _Basis:
     def _insert(self, lead: Word, poly: Poly, degree: int) -> None:
         n = len(lead)
         self.elements[lead] = poly
-        self.lengths.add(n)
         self.ending.setdefault(lead[-1], set()).add(n)
         if degree == self.top:  # its overlaps lie above the cut
             return

@@ -14,12 +14,13 @@ Every randomized trial draws its own RNG from (seed, property, trial), so a
 failure is replayable in isolation: given a counterexample's
 ``# replay: seed=S property=P trial=T`` line, feed the stream that
 ``randomgen.rng_for`` returns for (S, P, T) to the body of ``verify.prop_P``
-(one pass of its trial loop).  ``prop_P`` takes the property's recorder and
-reads the run's settings from ``rec.cfg``; the trial loop, its count and its
-replay line live in ``_Recorder``, so a property states only its check.
-``run_suites`` makes each recorder, runs ``prop_P`` and times it.  Report
-rendering contains no timing or environment data: two runs with the same
-arguments produce byte-identical text.
+(one pass of its trial loop).  ``prop_P`` takes the property's
+``PropertyResult`` and reads the run's settings from ``rec.cfg``; the trial
+loop, its count and its replay line live in ``PropertyResult``, so a
+property states only its check.  ``run_suites`` makes each result, runs
+``prop_P`` on it and times it.  Report rendering contains no timing or
+environment data: two runs with the same arguments produce byte-identical
+text.
 """
 
 from __future__ import annotations
@@ -100,6 +101,8 @@ SUITES = {
     ),
 }
 SUITE_NAMES = tuple(SUITES)
+# the golden Hilbert tables run to this degree
+TABLE_DEGREE = 10
 
 
 @dataclass
@@ -109,7 +112,6 @@ class SuiteConfig:
     window: DegreeWindow = dc_field(default_factory=lambda: DegreeWindow(-2, 10))
     max_dim: int = 3
     field: Field | None = None
-    max_degree: int = 10
 
     def __post_init__(self):
         if self.field is None:
@@ -118,17 +120,51 @@ class SuiteConfig:
 
 @dataclass
 class PropertyResult:
+    """The trials of one property: counts and first counterexample.
+
+    A property records into its result as it runs.  A trial is one seeded
+    stream (:meth:`seeded`) or one golden check (:meth:`trial`); either sets
+    the replay line that :meth:`fail` prints.
+    """
+
     name: str
-    trials: int
-    failures: int
+    trials: int = 0
+    failures: int = 0
     warnings: int = 0
     first_counterexample: str | None = None
     # measured, kept out of the report text so reports stay byte-identical
     wall_time: float = dc_field(default=0.0, compare=False)
+    # the run's settings and the current trial's replay line
+    cfg: SuiteConfig | None = dc_field(default=None, compare=False, repr=False)
+    replay: str = dc_field(default="", compare=False, repr=False)
 
     @property
     def ok(self) -> bool:
         return self.failures == 0
+
+    def seeded(self, trials: int | None = None):
+        """Yield the RNG of each trial, drawn from (seed, name, trial);
+        ``trials`` defaults to ``cfg.trials``."""
+        seed = self.cfg.seed
+        for trial in range(self.cfg.trials if trials is None else trials):
+            self.trial(f"seed={seed} property={self.name} trial={trial}")
+            yield rng_for(seed, self.name, trial)
+
+    def trial(self, replay: str):
+        self.trials += 1
+        self.replay = replay
+
+    def fail(self, detail: list[str], q: WeightedQuiver | None = None,
+             ideal: IdealPresentation | None = None):
+        self.failures += 1
+        if self.first_counterexample is None:
+            lines = [f"# replay: {self.replay}", *(f"# {d}" for d in detail)]
+            if q is not None:
+                lines.extend(_presentation_lines(q, ideal))
+            self.first_counterexample = "\n".join(lines)
+
+    def warn(self):
+        self.warnings += 1
 
 
 @dataclass
@@ -169,74 +205,48 @@ def _presentation_lines(q: WeightedQuiver, ideal: IdealPresentation | None = Non
     return [line.rstrip("\n") for line in presentation_lines(q, ideal)]
 
 
-def _counterexample(replay: str, detail: list[str], q: WeightedQuiver | None = None,
-                    ideal: IdealPresentation | None = None) -> str:
-    lines = [f"# replay: {replay}"]
-    lines.extend(f"# {d}" for d in detail)
-    if q is not None:
-        lines.extend(_presentation_lines(q, ideal))
-    return "\n".join(lines)
-
-
-class _Recorder:
-    """The trials of one property: counts, replay lines, first counterexample.
-
-    A trial is one seeded stream (:meth:`seeded`) or one golden check
-    (:meth:`trial`); either sets the replay line that :meth:`fail` prints.
-    """
-
-    def __init__(self, name: str, cfg: SuiteConfig):
-        self.name = name
-        self.cfg = cfg
-        self.trials = 0
-        self.failures = 0
-        self.warnings = 0
-        self.first: str | None = None
-        self.replay = ""
-
-    def seeded(self, trials: int | None = None):
-        """Yield the RNG of each trial, drawn from (seed, name, trial);
-        ``trials`` defaults to ``cfg.trials``."""
-        seed = self.cfg.seed
-        for trial in range(self.cfg.trials if trials is None else trials):
-            self.trial(f"seed={seed} property={self.name} trial={trial}")
-            yield rng_for(seed, self.name, trial)
-
-    def trial(self, replay: str):
-        self.trials += 1
-        self.replay = replay
-
-    def fail(self, detail: list[str], q: WeightedQuiver | None = None,
-             ideal: IdealPresentation | None = None):
-        self.failures += 1
-        if self.first is None:
-            self.first = _counterexample(self.replay, detail, q, ideal)
-
-    def warn(self):
-        self.warnings += 1
-
-
 # ---------------------------------------------------------------------------
 # split suite
 
 
-def prop_split_golden_structure(rec: _Recorder) -> None:
+def _random_split_setup(rng):
+    """A random quiver with a heavy arrow, and the split of that arrow."""
+    q = random_quiver(rng, require_heavy=True)
+    t = split_arrow(q, pick_split_target(q))
+    return q, t
+
+
+def _split_ok(q: WeightedQuiver, t) -> bool:
+    """Whether ``t`` splits the arrow b: v -> w of ``q`` into a degree-1 half
+    v -> z and a half z -> w of degree deg b - 1 through one fresh vertex z,
+    lowering the weight discrepancy by one."""
+    b = q.arrow(t.split_arrow)
+    first = t.after.arrow(t.first)
+    second = t.after.arrow(t.second)
+    return (
+        not validate(t.after)
+        and weight_discrepancy(t.after) == weight_discrepancy(q) - 1
+        and b.name not in t.after.arrow_map
+        and len(t.after.arrows) == len(q.arrows) + 1
+        and len(t.after.vertices) == len(q.vertices) + 1
+        and first.degree == 1
+        and second.degree == b.degree - 1
+        and first.source == b.source
+        and second.target == b.target
+        and first.target == second.source == t.new_vertex
+    )
+
+
+def prop_split_golden_structure(rec: PropertyResult) -> None:
     for deg in (2, 3):
         rec.trial(f"golden bridge split, heavy degree {deg}")
         q = bridge_quiver(deg)
         t = split_arrow(q, "b")
-        first = t.after.arrow(t.first)
-        second = t.after.arrow(t.second)
         ok = (
-            t.new_vertex == "z"
+            _split_ok(q, t)
+            and t.new_vertex == "z"
             and (t.first, t.second) == ("b'", "b''")
             and sorted(t.after.vertices) == ["u", "v", "z"]
-            and first.source == "u" and first.target == "z" and first.degree == 1
-            and second.source == "z" and second.target == "v"
-            and second.degree == deg - 1
-            and "b" not in t.after.arrow_map
-            and not validate(t.after)
-            and weight_discrepancy(t.after) == weight_discrepancy(q) - 1
         )
         if not ok:
             rec.fail([], q)
@@ -261,7 +271,7 @@ def prop_split_golden_structure(rec: _Recorder) -> None:
         rec.fail(["got:"] + _presentation_lines(res.final_quiver, res.final_ideal))
 
 
-def prop_rewrite_golden(rec: _Recorder) -> None:
+def prop_rewrite_golden(rec: PropertyResult) -> None:
     q = bridge_quiver(2)
     t = split_arrow(q, "b")
 
@@ -285,34 +295,16 @@ def prop_rewrite_golden(rec: _Recorder) -> None:
         rec.fail([f"got {gen}" for gen in got_ideal], q, ideal)
 
 
-def prop_discrepancy_decrement(rec: _Recorder) -> None:
+def prop_discrepancy_decrement(rec: PropertyResult) -> None:
     for rng in rec.seeded():
-        q = random_quiver(rng, require_heavy=True)
-        name = pick_split_target(q)
-        assert name is not None
-        b = q.arrow(name)
-        t = split_arrow(q, name)
-        first = t.after.arrow(t.first)
-        second = t.after.arrow(t.second)
-        ok = (
-            not validate(t.after)
-            and weight_discrepancy(t.after) == weight_discrepancy(q) - 1
-            and len(t.after.arrows) == len(q.arrows) + 1
-            and len(t.after.vertices) == len(q.vertices) + 1
-            and first.degree == 1
-            and second.degree == b.degree - 1
-            and first.source == b.source
-            and second.target == b.target
-            and first.target == second.source == t.new_vertex
-        )
-        if not ok:
-            rec.fail([f"split arrow: {name}"], q)
+        q, t = _random_split_setup(rng)
+        if not _split_ok(q, t):
+            rec.fail([f"split arrow: {t.split_arrow}"], q)
 
 
-def prop_rewrite_preserves_shape(rec: _Recorder) -> None:
+def prop_rewrite_preserves_shape(rec: PropertyResult) -> None:
     for rng in rec.seeded():
-        q = random_quiver(rng, require_heavy=True)
-        t = split_arrow(q, pick_split_target(q))
+        q, t = _random_split_setup(rng)
         gen = random_relation(rng, q)
         if gen is None:
             continue
@@ -329,10 +321,9 @@ def prop_rewrite_preserves_shape(rec: _Recorder) -> None:
             rec.fail([f"relation: {gen}"], q)
 
 
-def prop_rewrite_multiplicative(rec: _Recorder) -> None:
+def prop_rewrite_multiplicative(rec: PropertyResult) -> None:
     for rng in rec.seeded():
-        q = random_quiver(rng, require_heavy=True)
-        t = split_arrow(q, pick_split_target(q))
+        q, t = _random_split_setup(rng)
         pair = random_composable_pair(rng, q)
         if pair is None:
             continue
@@ -357,7 +348,7 @@ def prop_rewrite_multiplicative(rec: _Recorder) -> None:
             rec.fail([f"left: {x}", f"right: {y}"], q)
 
 
-def prop_regrade_terminates(rec: _Recorder) -> None:
+def prop_regrade_terminates(rec: PropertyResult) -> None:
     for rng in rec.seeded():
         q = random_quiver(rng)
         ideal = random_ideal(rng, q)
@@ -382,21 +373,11 @@ def prop_regrade_terminates(rec: _Recorder) -> None:
             rec.fail([], q, ideal)
 
 
-def run_split_suite(cfg: SuiteConfig) -> SuiteReport:
-    return run_suites(("split",), cfg)[0]
-
-
 # ---------------------------------------------------------------------------
 # functor suite
 
 
-def _random_split_setup(rng):
-    q = random_quiver(rng, require_heavy=True)
-    t = split_arrow(q, pick_split_target(q))
-    return q, t
-
-
-def prop_collapse_expand_identity(rec: _Recorder) -> None:
+def prop_collapse_expand_identity(rec: PropertyResult) -> None:
     cfg = rec.cfg
     for rng in rec.seeded():
         q, t = _random_split_setup(rng)
@@ -405,7 +386,7 @@ def prop_collapse_expand_identity(rec: _Recorder) -> None:
             rec.fail([f"split arrow: {t.split_arrow}"], q)
 
 
-def prop_golden_commuting_loops(rec: _Recorder) -> None:
+def prop_golden_commuting_loops(rec: PropertyResult) -> None:
     cfg = rec.cfg
     q, ideal = kxy_presentation()
     res = regrade(q, ideal)
@@ -420,7 +401,7 @@ def prop_golden_commuting_loops(rec: _Recorder) -> None:
             rec.fail([f"violations: {bad}"], q, ideal)
 
 
-def prop_relation_transport(rec: _Recorder) -> None:
+def prop_relation_transport(rec: PropertyResult) -> None:
     cfg = rec.cfg
     for rng in rec.seeded():
         q, t = _random_split_setup(rng)
@@ -448,7 +429,7 @@ def prop_relation_transport(rec: _Recorder) -> None:
                 break
 
 
-def prop_shift_compatibility(rec: _Recorder) -> None:
+def prop_shift_compatibility(rec: PropertyResult) -> None:
     cfg = rec.cfg
     for rng in rec.seeded():
         q, t = _random_split_setup(rng)
@@ -475,7 +456,7 @@ def _exactness_defects(incl: GradedMorphism, proj: GradedMorphism) -> list[str]:
     return defects
 
 
-def prop_expansion_exactness(rec: _Recorder) -> None:
+def prop_expansion_exactness(rec: PropertyResult) -> None:
     cfg = rec.cfg
     for rng in rec.seeded():
         q, t = _random_split_setup(rng)
@@ -491,7 +472,7 @@ def prop_expansion_exactness(rec: _Recorder) -> None:
             rec.fail(defects[:3], q)
 
 
-def prop_counit_support(rec: _Recorder) -> None:
+def prop_counit_support(rec: PropertyResult) -> None:
     cfg = rec.cfg
     for rng in rec.seeded():
         q, t = _random_split_setup(rng)
@@ -519,7 +500,7 @@ def prop_counit_support(rec: _Recorder) -> None:
             rec.fail([f"support off fresh vertex: {stray}", f"round-trip iso: {iso}"], q)
 
 
-def prop_counit_naturality(rec: _Recorder) -> None:
+def prop_counit_naturality(rec: PropertyResult) -> None:
     cfg = rec.cfg
     for rng in rec.seeded():
         q, t = _random_split_setup(rng)
@@ -536,15 +517,11 @@ def prop_counit_naturality(rec: _Recorder) -> None:
             rec.fail([f"square fails at: {bad[:4]}"], q)
 
 
-def run_functor_suite(cfg: SuiteConfig) -> SuiteReport:
-    return run_suites(("functor",), cfg)[0]
-
-
 # ---------------------------------------------------------------------------
 # hilbert suite
 
 
-def prop_expansion_dims(rec: _Recorder) -> None:
+def prop_expansion_dims(rec: PropertyResult) -> None:
     """Definitional dimension bookkeeping of the transport across a split."""
     cfg = rec.cfg
     for rng in rec.seeded():
@@ -566,10 +543,10 @@ def prop_expansion_dims(rec: _Recorder) -> None:
             rec.fail([f"split arrow: {t.split_arrow}"], q)
 
 
-def prop_golden_two_loop_table(rec: _Recorder) -> None:
+def prop_golden_two_loop_table(rec: PropertyResult) -> None:
     cfg = rec.cfg
     q, ideal = kxy_presentation()
-    top = cfg.max_degree
+    top = TABLE_DEGREE
     tables = zip(hilbert_table(q, ideal, top), hilbert_table(q, ideal, top, field=cfg.field))
     for row, row_p in tables:
         d, got, got_p = row.degree, row.dim, row_p.dim
@@ -582,11 +559,11 @@ def prop_golden_two_loop_table(rec: _Recorder) -> None:
             rec.fail([f"want {want}, got {got} / naive {got_naive} / mod-p {got_p}"], q, ideal)
 
 
-def prop_split_table_agreement(rec: _Recorder) -> None:
+def prop_split_table_agreement(rec: PropertyResult) -> None:
     cfg = rec.cfg
     res = regrade(*kxy_presentation())
     q, ideal = res.final_quiver, res.final_ideal
-    top = cfg.max_degree
+    top = TABLE_DEGREE
     tables = zip(
         hilbert_table(q, ideal, top),
         hilbert_table(q, ideal, top, field=cfg.field),
@@ -603,7 +580,7 @@ def prop_split_table_agreement(rec: _Recorder) -> None:
                       f"corner {corner} vs naive {corner_naive}"], q, ideal)
 
 
-def prop_free_algebra_counts(rec: _Recorder) -> None:
+def prop_free_algebra_counts(rec: PropertyResult) -> None:
     empty = IdealPresentation.of([])
     for rng in rec.seeded():
         q = random_quiver(rng, max_vertices=3, max_arrows=3)
@@ -617,7 +594,7 @@ def prop_free_algebra_counts(rec: _Recorder) -> None:
             rec.fail([f"degree {d}: {got} != path count {len(paths)}"], q)
 
 
-def prop_random_agreement(rec: _Recorder) -> None:
+def prop_random_agreement(rec: PropertyResult) -> None:
     cfg = rec.cfg
     for rng in rec.seeded():
         q = random_quiver(rng, max_vertices=3, max_arrows=3)
@@ -637,10 +614,6 @@ def prop_random_agreement(rec: _Recorder) -> None:
             rec.fail([f"degree {d}: primary {primary}, naive {second}"], q, ideal)
 
 
-def run_hilbert_suite(cfg: SuiteConfig) -> SuiteReport:
-    return run_suites(("hilbert",), cfg)[0]
-
-
 # ---------------------------------------------------------------------------
 
 
@@ -652,11 +625,11 @@ def run_suites(names, cfg: SuiteConfig) -> list[SuiteReport]:
     for suite in names:
         results = []
         for name in SUITES[suite]:
-            rec = _Recorder(name, cfg)
+            result = PropertyResult(name, cfg=cfg)
             started = time.perf_counter()
             # looked up at call time, so a patched ``prop_P`` is the one that runs
-            globals()[f"prop_{name}"](rec)
-            results.append(PropertyResult(name, rec.trials, rec.failures, rec.warnings,
-                                          rec.first, time.perf_counter() - started))
+            globals()[f"prop_{name}"](result)
+            result.wall_time = time.perf_counter() - started
+            results.append(result)
         reports.append(SuiteReport(suite, cfg.seed, results))
     return reports

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 import pathlib
+import warnings
 
 import pytest
 
@@ -15,6 +16,19 @@ from quiver_regrade.catalog import (
     kxy_presentation,
     kxy_split_presentation,
 )
+
+# Hypothesis imports this module to report a falsifying example; through
+# libcst it raises a DeprecationWarning that the "error" warning filter
+# would turn into an INTERNALERROR ending the run.  Imported once here with
+# only that warning ignored, it is cached for the report.
+with warnings.catch_warnings():
+    warnings.filterwarnings(
+        "ignore", message="mypy_extensions.TypedDict is deprecated", category=DeprecationWarning
+    )
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 

@@ -23,8 +23,7 @@ from quiver_regrade import (
     path_from_arrows,
     render_reports,
     rewrite_path,
-    run_functor_suite,
-    run_split_suite,
+    run_suites,
     split_arrow,
     weight_discrepancy,
 )
@@ -51,12 +50,12 @@ def prop(suite_report, name):
 
 @pytest.fixture(scope="module")
 def split_batch():
-    return run_split_suite(SuiteConfig(seed=0, trials=500))
+    return run_suites(("split",), SuiteConfig(seed=0, trials=500))[0]
 
 
 @pytest.fixture(scope="module")
 def functor_batch():
-    return run_functor_suite(SuiteConfig(seed=0, trials=200))
+    return run_suites(("functor",), SuiteConfig(seed=0, trials=200))[0]
 
 
 def batch_detail(res):

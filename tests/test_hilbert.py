@@ -20,6 +20,7 @@ from quiver_regrade import (
     parse_presentation,
     trivial_path,
 )
+from quiver_regrade import hilbert
 from quiver_regrade.catalog import heavy_loop_quiver, kxy_presentation, kxy_split_presentation
 from quiver_regrade.randomgen import random_ideal, random_quiver, rng_for
 from quiver_regrade.regrade import regrade
@@ -314,6 +315,51 @@ class TestDifferential:
                 assert got[-1] == graded_dim(q, ideal, top, vertex=vertex, field=field)
                 compared += 1
         assert compared >= 40  # the naive guard skips only a few presentations
+
+
+class TestLeadingPaths:
+    """The leading paths of a grown basis form an antichain: none lies inside
+    another.  ``_Basis.divisor`` relies on it to search by end position."""
+
+    @staticmethod
+    def _first_inside(p, leads):
+        for i in range(len(p)):
+            for w in leads:
+                if p[i:i + len(w)] == w:
+                    return i, w
+        return None
+
+    @pytest.mark.parametrize("field", [QQ, GF(7)], ids=["q", "p7"])
+    def test_no_leading_path_lies_inside_another(self, monkeypatch, field):
+        grown = []
+
+        class Recorded(hilbert._Basis):
+            def __init__(self, *args):
+                super().__init__(*args)
+                grown.append(self)
+
+        monkeypatch.setattr(hilbert, "_Basis", Recorded)
+        for seed in range(200):
+            rng = rng_for("hilbert-antichain", seed)
+            q = random_quiver(rng, max_vertices=4, max_arrows=5)
+            ideal = random_ideal(rng, q)
+            res = regrade(q, ideal)
+            for pq, pideal in ((q, ideal), (res.final_quiver, res.final_ideal)):
+                try:
+                    list(hilbert_table(pq, pideal, 8, field=field, max_paths=2000))
+                except PathCountLimit:
+                    pass
+        total = 0
+        for basis in grown:
+            leads = list(basis.elements)
+            total += len(leads)
+            for w in leads:
+                for v in leads:
+                    if v != w:
+                        assert self._first_inside(w, [v]) is None, (w, v)
+                        # the first leading path to end inside v*w starts first
+                        assert basis.divisor(v + w) == self._first_inside(v + w, leads)
+        assert total >= 500
 
 
 class TestCornerIdentity:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+from dataclasses import replace
 
 import pytest
 
@@ -13,21 +14,18 @@ from quiver_regrade import (
     PropertyResult,
     SuiteConfig,
     SuiteReport,
+    WeightedQuiver,
     default_prime,
     render_reports,
-    run_functor_suite,
-    run_hilbert_suite,
-    run_split_suite,
     run_suites,
 )
 
-SMALL = SuiteConfig(seed=0, trials=12, max_degree=6)
+SMALL = SuiteConfig(seed=0, trials=12)
 
 
 @pytest.fixture(scope="module")
 def small_reports():
-    cfg = SMALL
-    return [run_split_suite(cfg), run_functor_suite(cfg), run_hilbert_suite(cfg)]
+    return run_suites(verify.SUITE_NAMES, SMALL)
 
 
 class TestSuiteConfig:
@@ -40,7 +38,7 @@ class TestSuiteConfig:
         assert cfg.field == GF(default_prime())
 
     def test_explicit_field_accepted(self):
-        report = run_split_suite(SuiteConfig(trials=2, field=GF(101)))
+        report = run_suites(("split",), SuiteConfig(trials=2, field=GF(101)))[0]
         assert report.ok()
 
 
@@ -84,7 +82,7 @@ class TestSuitesPass:
 
 class TestRunSuites:
     def test_order_and_selection(self):
-        cfg = SuiteConfig(trials=3, max_degree=4)
+        cfg = SuiteConfig(trials=3)
         reports = run_suites(("split", "hilbert"), cfg)
         assert [r.suite for r in reports] == ["split", "hilbert"]
 
@@ -107,7 +105,7 @@ class TestSuiteTable:
         assert list(got.items()) == list(verify.SUITES.items())
 
     def test_property_is_looked_up_when_it_runs(self, monkeypatch):
-        # a patched module attribute, called with the recorder alone, is what runs
+        # a patched module attribute, called with the PropertyResult alone, is what runs
         seen = []
 
         def spy(rec):
@@ -123,25 +121,66 @@ class TestSuiteTable:
         assert result.first_counterexample == "# replay: spied trial\n# spied failure"
         assert [r.name for r in report.results] == list(verify.SUITES["split"])
 
+    def test_result_equals_its_literal(self, monkeypatch):
+        # the run's settings, the last replay line and the wall time are
+        # carried but neither compared nor shown
+        def spy(rec):
+            for _ in rec.seeded(3):
+                rec.warn()
+            rec.fail(["spied failure"])
+
+        monkeypatch.setattr(verify, "prop_rewrite_golden", spy)
+        report, = run_suites(("split",), SuiteConfig(seed=6, trials=9))
+        result = report.results[1]
+        literal = PropertyResult(
+            "rewrite_golden", trials=3, failures=1, warnings=3,
+            first_counterexample="# replay: seed=6 property=rewrite_golden trial=2\n"
+                                 "# spied failure",
+        )
+        assert result.cfg.seed == 6 and result.replay and result.wall_time > 0
+        assert result == literal
+        assert result == replace(literal, cfg=SuiteConfig(seed=1), replay="other", wall_time=9.0)
+        assert "cfg=" not in repr(result) and "replay=" not in repr(result)
+
+
+class TestSplitCheck:
+    def test_malformed_split_fails_both_split_checks(self, monkeypatch):
+        real = verify.split_arrow
+
+        def malformed(q, name):
+            # the second half keeps the old degree, so the discrepancy stays
+            t = real(q, name)
+            arrows = [a for a in t.after.arrows if a.name != t.second]
+            arrows.append(replace(t.after.arrow(t.second), degree=t.arrow.degree))
+            return replace(t, after=WeightedQuiver.build(t.after.vertices, arrows))
+
+        monkeypatch.setattr(verify, "split_arrow", malformed)
+        report, = run_suites(("split",), SuiteConfig(seed=1, trials=5))
+        got = {r.name: (r.trials, r.failures) for r in report.results}
+        assert got["split_golden_structure"] == (4, 2)  # both bridge splits
+        assert got["discrepancy_decrement"] == (5, 5)
+        assert "FAIL split_golden_structure" in render_reports([report])
+        assert "FAIL discrepancy_decrement" in render_reports([report])
+
 
 class TestDeterminism:
     def test_byte_identical_reports(self):
-        cfg = SuiteConfig(seed=11, trials=8, max_degree=5)
+        cfg = SuiteConfig(seed=11, trials=8)
         a = render_reports(run_suites(("split", "functor", "hilbert"), cfg))
         b = render_reports(run_suites(("split", "functor", "hilbert"), cfg))
         assert a == b
 
     def test_reports_compare_equal_despite_wall_time(self):
-        cfg = SuiteConfig(seed=3, trials=5, max_degree=4)
-        r1 = run_split_suite(cfg)
-        r2 = run_split_suite(cfg)
+        cfg = SuiteConfig(seed=3, trials=5)
+        r1 = run_suites(("split",), cfg)[0]
+        r2 = run_suites(("split",), cfg)[0]
         assert r1 == r2
 
     def test_seed_changes_stream(self):
         # Different seeds draw different quivers; rendering still passes but
         # the underlying counterexample-free stream need not be identical.
-        a = run_split_suite(SuiteConfig(seed=0, trials=6))
-        b = run_split_suite(SuiteConfig(seed=1, trials=6))
+        a = run_suites(("split",), SuiteConfig(seed=0, trials=6))[0]
+        b = run_suites(("split",), SuiteConfig(seed=1, trials=6))[0]
         assert a.seed == 0 and b.seed == 1
 
 
@@ -225,7 +264,7 @@ class TestStreamContract:
         return run(), calls
 
     def test_one_stream_per_trial(self, monkeypatch):
-        cfg = SuiteConfig(seed=4, trials=3, max_degree=4)
+        cfg = SuiteConfig(seed=4, trials=3)
         reports, calls = self._streams(
             monkeypatch, lambda: run_suites(verify.SUITE_NAMES, cfg))
         drawn = {name for _, name, _ in calls}
@@ -238,7 +277,7 @@ class TestStreamContract:
 
     def test_golden_commuting_loops_caps_its_streams(self, monkeypatch):
         report, calls = self._streams(
-            monkeypatch, lambda: run_functor_suite(SuiteConfig(seed=2, trials=30)))
+            monkeypatch, lambda: run_suites(("functor",), SuiteConfig(seed=2, trials=30))[0])
         result = next(r for r in report.results if r.name == "golden_commuting_loops")
         calls = [c for c in calls if c[1] == "golden_commuting_loops"]
         assert result.trials == 25
