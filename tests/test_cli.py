@@ -6,6 +6,7 @@ import contextlib
 import errno
 import hashlib
 import io
+import json
 import os
 import re
 import subprocess
@@ -19,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quiver_regrade import parse_presentation, regrade, weight_discrepancy
+from quiver_regrade import DegreeWindow, parse_presentation, regrade, verify, weight_discrepancy
 from quiver_regrade.cli import main, render_regrade
 from quiver_regrade.regrade import MAX_DISCREPANCY
 
@@ -290,6 +291,11 @@ class TestHilbert:
             ["4", "3"], ["5", "3"], ["6", "4"],
         ]
 
+    def test_max_degree_defaults_to_12(self, kxy_file, capsys):
+        assert main(["hilbert", kxy_file]) == 0
+        degrees = [int(line.split()[0]) for line in capsys.readouterr().out.splitlines()]
+        assert degrees == list(range(13))
+
     def test_rational_field_same_table(self, kxy_file, capsys):
         main(["hilbert", kxy_file, "--max-degree", "6"])
         default_out = capsys.readouterr().out
@@ -400,6 +406,17 @@ class TestVerify:
             ["verify", "--suite", "functor", "--trials", "3", "--window=-1:6"]
         )
         assert rc == 0
+
+    def test_window_defaults_to_minus_2_to_10(self, monkeypatch, capsys):
+        configs = []
+        monkeypatch.setattr(verify, "run_suites", lambda names, cfg: configs.append(cfg) or [])
+        assert main(["verify", "--suite", "split"]) == 0
+        assert [cfg.window for cfg in configs] == [DegreeWindow(-2, 10)]
+
+    def test_suite_choices_are_the_suites_and_all(self, capsys):
+        assert main(["verify", "-h"]) == 0
+        choices = "{" + ",".join(verify.SUITE_NAMES + ("all",)) + "}"
+        assert f"--suite {choices}" in capsys.readouterr().out
 
     def test_bad_window(self, capsys):
         assert main(["verify", "--suite", "split", "--window=oops"]) == 2
@@ -520,6 +537,44 @@ def test_cli_import_does_not_load_numpy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+_LAZY_LAYERS = {"hilbert", "linalg", "representation", "verify", "randomgen", "catalog"}
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (None, set()),
+        (["validate", "KXY"], set()),
+        (["discrepancy", "KXY"], set()),
+        (["split", "KXY", "--arrow", "y"], set()),
+        (["regrade", "KXY"], set()),
+        (["hilbert", "KXY", "--max-degree", "3"], {"hilbert", "linalg"}),
+        (["verify", "--suite", "split", "--trials", "1"], _LAZY_LAYERS),
+    ],
+    ids=["import", "validate", "discrepancy", "split", "regrade", "hilbert", "verify"],
+)
+def test_command_loads_only_its_layers(argv, loaded, golden_dir):
+    # one fresh interpreter per command: which of the package's modules are
+    # loaded after importing the CLI and running the command
+    kxy = str(golden_dir / "kxy.quiver")
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from quiver_regrade.cli import main\n"
+        "argv = json.loads(sys.argv[1])\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    status = 0 if argv is None else main(argv)\n"
+        "print(status, *sorted(m for m in sys.modules if m.startswith('quiver_regrade.')))\n"
+    )
+    argv = None if argv is None else [kxy if a == "KXY" else a for a in argv]
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(argv)], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    status, *modules = proc.stdout.split()
+    assert status == "0"
+    assert {m.removeprefix("quiver_regrade.") for m in modules} & _LAZY_LAYERS == loaded
 
 
 # small generated presentation files, mostly valid: at most three vertices and
