@@ -205,6 +205,6 @@ def parse_field_spec(spec: str) -> Field:
     """Parse a field choice: ``q`` for rationals, ``pN`` for F_N."""
     if spec == "q":
         return QQ
-    if spec.startswith("p") and spec[1:].isdigit():
+    if spec.startswith("p") and spec[1:].isascii() and spec[1:].isdigit():
         return GF(int(spec[1:]))
     raise ValueError(f"unknown field spec {spec!r} (expected 'q' or 'p<prime>')")

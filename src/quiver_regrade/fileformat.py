@@ -15,9 +15,11 @@ terms, and an optional leading rational coefficient per term::
     x*y - y*x
     2/3*a*b + c*c
 
-``#`` starts a comment anywhere on a line.  Identifiers start with a letter
-or underscore and may contain letters, digits, underscores, and apostrophes,
-so split-arrow names like ``y''`` parse as written.
+A line ends at ``\\n``, ``\\r\\n`` or ``\\r`` only, as a text read in
+universal-newline mode ends it.  ``#`` starts a comment anywhere on a line
+and runs to the end of that line.  Identifiers start with a letter or
+underscore and may contain letters, digits, underscores, and apostrophes, so
+split-arrow names like ``y''`` parse as written.
 
 Every diagnostic carries a 1-based line and column.  Parsing collects as
 many diagnostics as it can before raising.  A relation whose terms mix
@@ -181,7 +183,8 @@ def parse_presentation(text: str) -> tuple[WeightedQuiver, IdealPresentation]:
     arrow_decls: list[tuple[Arrow, int]] = []
     relation_lines: list[tuple[str, int]] = []
     section: str | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

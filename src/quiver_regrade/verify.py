@@ -567,11 +567,12 @@ def prop_split_table_agreement(rec: PropertyResult) -> None:
     tables = zip(
         hilbert_table(q, ideal, top),
         hilbert_table(q, ideal, top, field=cfg.field),
-        hilbert_table(q, ideal, top, vertex="v"),
         *(hilbert_table(q, ideal, top, vertex=v) for v in q.vertices),
     )
-    for total_row, modp_row, corner_row, *vertex_rows in tables:
-        d, total, modp, corner = total_row.degree, total_row.dim, modp_row.dim, corner_row.dim
+    corner_at = q.vertices.index("v")
+    for total_row, modp_row, *vertex_rows in tables:
+        d, total, modp = total_row.degree, total_row.dim, modp_row.dim
+        corner = vertex_rows[corner_at].dim
         rec.trial(f"split table agreement, degree {d}")
         by_vertex = sum(row.dim for row in vertex_rows)
         corner_naive = graded_dim_naive(q, ideal, d, vertex="v") if d <= 8 else corner

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import os
 import pathlib
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -86,6 +88,24 @@ def src_on_subprocess_path():
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("PYTHONPATH", os.pathsep.join(p for p in paths if p))
         yield
+
+
+@pytest.fixture(scope="session")
+def verify_seed7_runs(src_on_subprocess_path) -> list[subprocess.CompletedProcess]:
+    """Two fresh ``verify --suite all --seed 7`` processes under ``-W error``,
+    started at once: the determinism check compares them, and the tests of
+    what the run prints read the first."""
+    cmd = [sys.executable, "-W", "error", "-m", "quiver_regrade.cli",
+           "verify", "--suite", "all", "--seed", "7"]
+    procs = [
+        subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        for _ in range(2)
+    ]
+    runs = []
+    for proc in procs:
+        out, err = proc.communicate()
+        runs.append(subprocess.CompletedProcess(cmd, proc.returncode, out, err))
+    return runs
 
 
 @pytest.fixture

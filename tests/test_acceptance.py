@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import hashlib
 import pathlib
-import subprocess
-import sys
 
 import pytest
 
@@ -208,19 +206,8 @@ def test_c12_hilbert_tables():
     )
 
 
-def test_c13_verify_cli_deterministic():
-    cmd = [
-        sys.executable,
-        "-m",
-        "quiver_regrade.cli",
-        "verify",
-        "--suite",
-        "all",
-        "--seed",
-        "7",
-    ]
-    first = subprocess.run(cmd, capture_output=True, text=True)
-    second = subprocess.run(cmd, capture_output=True, text=True)
+def test_c13_verify_cli_deterministic(verify_seed7_runs):
+    first, second = verify_seed7_runs
     ok = (
         first.returncode == 0
         and second.returncode == 0

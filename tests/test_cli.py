@@ -142,20 +142,27 @@ class TestRegrade:
 
     def test_discrepancy_above_bound_is_refused(self, tmp_path):
         # one split per unit of discrepancy: a degree of 10^9 must be refused
-        # up front, not run until it is killed
-        p = tmp_path / "huge.quiver"
-        p.write_text("[quiver]\nvertex v\narrow x v v 1000000000\n\n[relations]\nx*x\n")
-        proc = subprocess.run(
-            [sys.executable, "-m", "quiver_regrade.cli", "regrade", str(p)],
-            capture_output=True,
-            text=True,
-            timeout=5,
-        )
-        assert proc.returncode == 1
-        assert proc.stdout == ""
-        assert "weight discrepancy 999999999" in proc.stderr
-        assert f"bound {MAX_DISCREPANCY}" in proc.stderr
-        assert "Traceback" not in proc.stderr
+        # up front, not run until it is killed, and so must a loop one degree
+        # above the loop at the bound in test_names_at_the_bound
+        for text, discrepancy in [
+            ("[quiver]\nvertex v\narrow x v v 1000000000\n\n[relations]\nx*x\n", 999_999_999),
+            ("[quiver]\nvertex v\narrow x v v 2002\n", 2001),
+        ]:
+            p = tmp_path / f"loop{discrepancy}.quiver"
+            p.write_text(text)
+            proc = subprocess.run(
+                [sys.executable, "-W", "error", "-m", "quiver_regrade.cli", "regrade", str(p)],
+                capture_output=True,
+                text=True,
+                timeout=5,
+            )
+            assert proc.returncode == 1
+            assert proc.stdout == ""
+            assert (
+                f"weight discrepancy {discrepancy} is above the regrade bound {MAX_DISCREPANCY}"
+                in proc.stderr
+            )
+            assert "Traceback" not in proc.stderr
 
     def test_names_at_the_bound(self, tmp_path):
         # one loop at the bound is 2000 splits of ever longer primed names;
@@ -314,6 +321,15 @@ class TestHilbert:
     def test_bad_field_spec(self, kxy_file, capsys):
         assert main(["hilbert", kxy_file, "--max-degree", "3", "--field", "p4"]) == 2
 
+    @pytest.mark.parametrize(
+        "spec", ["p\u00b2", "p\u0667"], ids=["superscript-2", "arabic-indic-7"]
+    )
+    def test_field_spec_takes_ascii_digits_only(self, kxy_file, capsys, spec):
+        assert main(["hilbert", kxy_file, "--max-degree", "3", "--field", spec]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unknown field spec {spec!r}" in captured.err
+
     def test_deep_single_loop(self, tmp_path, capsys):
         # a degree-1200 path is 1200 arrows long: the walk must not recurse per arrow
         p = tmp_path / "loop.quiver"
@@ -424,18 +440,18 @@ class TestVerify:
     def test_unknown_suite(self, capsys):
         assert main(["verify", "--suite", "bogus"]) == 2
 
-    def test_property_times_go_to_stderr(self, capsys):
-        assert main(["verify", "--suite", "all", "--seed", "7"]) == 0
-        captured = capsys.readouterr()
-        assert hashlib.sha256(captured.out.encode()).hexdigest() == (
+    def test_property_times_go_to_stderr(self, verify_seed7_runs):
+        run = verify_seed7_runs[0]
+        assert run.returncode == 0
+        assert hashlib.sha256(run.stdout.encode()).hexdigest() == (
             "4488dae582db5d1800819edb4d271d541e5f5a390d754a87c23b314ed3b10037"
         )
-        *lines, last = captured.err.splitlines()
+        *lines, last = run.stderr.splitlines()
         assert re.fullmatch(r"wall time: \d+\.\d\ds", last)
         assert all(re.fullmatch(r"property \w+: \d+\.\d\ds", line) for line in lines)
         names = [line.split()[1].rstrip(":") for line in lines]
         assert len(names) == len(set(names)) == 18
-        assert all(f"{name} trials=" in captured.out for name in names)
+        assert all(f"{name} trials=" in run.stdout for name in names)
 
 
 class TestUsage:

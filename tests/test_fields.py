@@ -147,7 +147,10 @@ class TestFieldSpecParsing:
         assert isinstance(f, PrimeField)
         assert f.char == 7
 
-    @pytest.mark.parametrize("bad", ["", "p", "p0", "p4", "7", "Q", "pabc", "p-3"])
+    # str.isdigit() holds for the Arabic-Indic and fullwidth sevens, which int() reads as 7
+    @pytest.mark.parametrize(
+        "bad", ["", "p", "p0", "p4", "7", "Q", "pabc", "p-3", "p\u0667", "p\uff17"]
+    )
     def test_rejects(self, bad):
         with pytest.raises(ValueError):
             parse_field_spec(bad)

@@ -221,6 +221,22 @@ class TestDiagnostics:
         assert q.vertices == () and q.arrows == ()
         assert ideal.generators == ()
 
+    @pytest.mark.parametrize(
+        "sep", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+    )
+    def test_only_newlines_end_a_line(self, sep):
+        # str.splitlines() also breaks at these; here they are whitespace, so
+        # the comment keeps "feed" and the next line is line 6
+        (d,) = diagnostics_of(
+            f"[quiver]\nvertex v\narrow x v v 1\n[relations]\nx*x # form{sep}feed\nx*y\n"
+        )
+        assert str(d) == "line 6, col 3: unknown arrow or trivial path 'y'"
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_crlf_and_cr_end_a_line(self, newline):
+        text = "[quiver]\nvertex v\narrow x v v 1\n[relations]\nx*x # c\n\nx*y\n"
+        assert diagnostics_of(text.replace("\n", newline)) == diagnostics_of(text)
+
     def test_multiple_diagnostics_collected(self):
         # The parser reports everything it can rather than stopping at the first.
         ds = diagnostics_of("[quiver]\nvertex\nvertex v\narrow x v w 1\n")
