@@ -22,7 +22,7 @@ from contextlib import nullcontext
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .fields import GF, default_prime, parse_field_spec
+from .fields import GF, default_prime, parse_field_spec, parse_integer
 from .fileformat import PresentationError, parse_presentation, presentation_lines
 from .paths import IdealPresentation, PathCountLimit
 from .quiver import WeightedQuiver, weight_discrepancy
@@ -65,19 +65,24 @@ def _window_arg(text: str) -> DegreeWindow:
     if not sep:
         raise argparse.ArgumentTypeError(f"expected LO:HI, got {text!r}")
     try:
-        return DegreeWindow(int(lo), int(hi))
+        return DegreeWindow(parse_integer(lo), parse_integer(hi))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
+def _integer(text: str) -> int:
+    """Argparse type: an integer, as :func:`parse_integer` reads it."""
+    try:
+        return parse_integer(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
 
 
 def _at_least(low: int):
     """Argparse type: an integer no smaller than ``low``."""
 
     def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        value = _integer(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
         return value
@@ -210,13 +215,8 @@ def _cmd_verify(args) -> tuple[Iterable[str], int]:
     if args.file is not None:
         _load(args.file)
     names = SUITE_NAMES if args.suite == "all" else (args.suite,)
-    cfg = SuiteConfig(
-        seed=args.seed,
-        trials=args.trials,
-        window=args.window,
-        max_dim=args.max_dim,
-        field=_default_field(),
-    )
+    given = {k: v for k, v in vars(args).items() if k in ("seed", "trials", "window", "max_dim")}
+    cfg = SuiteConfig(**given, field=_default_field())
     started = time.perf_counter()
     reports = run_suites(names, cfg)
     text = render_reports(reports)
@@ -274,11 +274,12 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="optional presentation to validate before the run")
     # verify.SUITE_NAMES + ("all",), written out so that the parser does not import verify
     p.add_argument("--suite", choices=("split", "functor", "hilbert", "all"), default="all")
-    p.add_argument("--trials", type=_at_least(1), default=200)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--window", type=_window_arg, default="-2:10",
+    # unset flags stay out of args, so that SuiteConfig's defaults are the only ones
+    p.add_argument("--trials", type=_at_least(1), default=argparse.SUPPRESS)
+    p.add_argument("--seed", type=_integer, default=argparse.SUPPRESS)
+    p.add_argument("--window", type=_window_arg, default=argparse.SUPPRESS,
                    help="degree window LO:HI (use --window=LO:HI for negative LO)")
-    p.add_argument("--max-dim", type=_at_least(0), default=3)
+    p.add_argument("--max-dim", type=_at_least(0), default=argparse.SUPPRESS)
     p.set_defaults(handler=_cmd_verify)
 
     return parser

@@ -3,6 +3,11 @@
 Scalars are plain Python values: ``fractions.Fraction`` over the rationals,
 ``int`` in ``range(p)`` over F_p.  A field object bundles the operations so
 matrix code can stay field-agnostic.  No floating point anywhere.
+
+There is one object per field: ``PrimeField(p)``, also called ``GF(p)``,
+checks ``p`` once and then returns the same instance, ``Rationals()`` is
+``QQ``, and a copy or a pickle is the field itself.  So fields compare and
+hash by identity.
 """
 
 from __future__ import annotations
@@ -59,7 +64,7 @@ def _require_prime(p: int, name: str) -> None:
 
 
 class Rationals:
-    """The field of arbitrary-precision rationals."""
+    """The field of arbitrary-precision rationals; ``Rationals()`` is ``QQ``."""
 
     char = 0
     spec = "q"
@@ -100,28 +105,35 @@ class Rationals:
     def format(self, a: Fraction) -> str:
         return str(a)
 
+    def __new__(cls) -> "Rationals":
+        return QQ
+
+    def __reduce__(self):
+        return Rationals, ()
+
     def __repr__(self) -> str:
         return "Rationals()"
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Rationals)
-
-    def __hash__(self) -> int:
-        return hash("field:q")
-
 
 class PrimeField:
-    """The finite field F_p; elements are ints in ``range(p)``."""
+    """The finite field F_p; elements are ints in ``range(p)``.  ``p`` is
+    checked once, and every later ``PrimeField(p)`` is the same object."""
 
     char: int
+    _instances: dict[int, "PrimeField"] = {}
 
-    def __init__(self, p: int):
-        _require_prime(p, f"modulus {p}")
-        self.p = p
-        self.char = p
-        self.spec = f"p{p}"
-        self.zero = 0
-        self.one = 1 % p
+    def __new__(cls, p: int) -> "PrimeField":
+        field = cls._instances.get(p)
+        if field is None:
+            _require_prime(p, f"modulus {p}")
+            field = cls._instances[p] = super().__new__(cls)
+            field.p = field.char = p
+            field.spec = f"p{p}"
+            field.zero, field.one = 0, 1
+        return field
+
+    def __reduce__(self):
+        return PrimeField, (self.p,)
 
     def from_int(self, n: int) -> int:
         return n % self.p
@@ -167,25 +179,25 @@ class PrimeField:
     def __repr__(self) -> str:
         return f"PrimeField({self.p})"
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self) -> int:
-        return hash(("field:p", self.p))
-
 
 Field = Union[Rationals, PrimeField]
 
-QQ = Rationals()
+QQ: Rationals = object.__new__(Rationals)
+GF = PrimeField
 
-_gf_cache: dict[int, PrimeField] = {}
 
+def parse_integer(text: str) -> int:
+    """``text`` as an int: ASCII digits with an optional leading ``-``.
 
-def GF(p: int) -> PrimeField:
-    field = _gf_cache.get(p)
-    if field is None:
-        field = _gf_cache[p] = PrimeField(p)
-    return field
+    ``int()`` also reads the digits of other scripts, ``_`` separators, a
+    leading ``+`` and surrounding blanks; every integer of the input is read
+    here instead, so an Arabic-Indic seven or ``1_0`` is refused, not read as
+    7 or 10.  The error is the one ``int()`` raises on text that is no integer.
+    """
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    return int(text)
 
 
 def default_prime() -> int:
@@ -194,7 +206,7 @@ def default_prime() -> int:
     if raw is None:
         return DEFAULT_PRIME
     try:
-        p = int(raw)
+        p = parse_integer(raw)
     except ValueError as exc:
         raise ValueError(f"{PRIME_ENV_VAR} must be an integer, got {raw!r}") from exc
     _require_prime(p, f"{PRIME_ENV_VAR}={p}")
@@ -205,6 +217,11 @@ def parse_field_spec(spec: str) -> Field:
     """Parse a field choice: ``q`` for rationals, ``pN`` for F_N."""
     if spec == "q":
         return QQ
-    if spec.startswith("p") and spec[1:].isascii() and spec[1:].isdigit():
-        return GF(int(spec[1:]))
+    if spec.startswith("p") and not spec.startswith("p-"):
+        try:
+            p = parse_integer(spec[1:])
+        except ValueError:
+            pass
+        else:
+            return GF(p)
     raise ValueError(f"unknown field spec {spec!r} (expected 'q' or 'p<prime>')")

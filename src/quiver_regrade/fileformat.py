@@ -7,6 +7,9 @@ Two sections.  ``[quiver]`` declares vertices and arrows::
     arrow x v v 1
     arrow y v v 2
 
+A degree is written in ASCII digits.  An arrow name may not begin with
+``e_``, which is kept for the trivial paths.
+
 ``[relations]`` holds one expression per line, built from arrow names,
 trivial paths ``e_<vertex>``, ``*`` for the path product, ``+``/``-`` between
 terms, and an optional leading rational coefficient per term::
@@ -40,7 +43,7 @@ from fractions import Fraction
 from itertools import islice
 from operator import itemgetter
 
-from .fields import QQ
+from .fields import QQ, parse_integer
 from .paths import (
     IdealPresentation,
     Path,
@@ -230,8 +233,14 @@ def parse_presentation(text: str) -> tuple[WeightedQuiver, IdealPresentation]:
                     Diagnostic(lineno, 1, f"invalid arrow name {name!r}")
                 )
                 continue
+            if name.startswith("e_"):
+                diagnostics.append(
+                    Diagnostic(lineno, 1, f"arrow name {name!r} begins with 'e_', "
+                               "which is kept for trivial paths")
+                )
+                continue
             try:
-                degree = int(deg_text)
+                degree = parse_integer(deg_text)
             except ValueError:
                 diagnostics.append(
                     Diagnostic(lineno, 1, f"degree must be an integer, got {deg_text!r}")

@@ -9,10 +9,8 @@ itself - of ``mul``/``add``/``scale``/``transpose``/``rows_at``/``cols_at``,
 canonical and well formed by construction and go through one private
 trusted constructor that skips those steps.  ``Matrix.identity`` hands back
 one shared object per field and size, and ``Matrix.zero`` one per field and
-shape.  Both caches are keyed by the ``id()`` of the field, so a lookup
-never hashes it; the cached matrix holds its field, so that id is never
-reused.  Two fields that are equal but distinct objects (``PrimeField(p)``
-and ``GF(p)``) get distinct, equal matrices.
+shape.  Both caches are keyed by the field itself, whose hash is the
+built-in identity hash, so a lookup calls no Python method.
 
 Four trivial cases are answered without arithmetic, after the field and
 shape checks: a product with an empty dimension is ``Matrix.zero``; a
@@ -95,7 +93,7 @@ class Matrix:
     @staticmethod
     def zero(field: Field, rows: int, cols: int) -> "Matrix":
         """The rows x cols zero; one shared object per ``(field, rows, cols)``."""
-        key = (id(field), rows, cols)
+        key = (field, rows, cols)
         m = _ZEROS.get(key)
         if m is None:
             entries = ((field.zero,) * cols,) * rows
@@ -105,7 +103,7 @@ class Matrix:
     @staticmethod
     def identity(field: Field, n: int) -> "Matrix":
         """The n x n identity; one shared object per ``(field, n)``."""
-        key = (id(field), n)
+        key = (field, n)
         m = _IDENTITIES.get(key)
         if m is None:
             z, o = field.zero, field.one
@@ -177,13 +175,12 @@ class Matrix:
             )
 
     def _same_field(self, other: "Matrix"):
-        if self.field != other.field:
+        if self.field is not other.field:
             raise ValueError(f"field mismatch: {self.field} vs {other.field}")
 
 
-# keyed by id(field): each cached matrix holds its field, so that id is never reused
-_ZEROS: dict[tuple[int, int, int], Matrix] = {}
-_IDENTITIES: dict[tuple[int, int], Matrix] = {}
+_ZEROS: dict[tuple[Field, int, int], Matrix] = {}
+_IDENTITIES: dict[tuple[Field, int], Matrix] = {}
 # id() of every value of _IDENTITIES; those objects are never freed
 _IDENTITY_IDS: set[int] = set()
 

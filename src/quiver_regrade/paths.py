@@ -137,9 +137,9 @@ class PathSum:
 
     def to_field(self, field: Field) -> "PathSum":
         """Push rational coefficients into another field."""
-        if field == self.field:
+        if field is self.field:
             return self
-        if self.field != QQ:
+        if self.field is not QQ:
             raise ValueError("coefficient conversion is only supported out of the rationals")
         # the paths stay sorted and distinct; only the coefficients that
         # vanish in ``field`` drop out
@@ -149,7 +149,7 @@ class PathSum:
         ))
 
     def _check_field(self, other: "PathSum"):
-        if self.field != other.field:
+        if self.field is not other.field:
             raise ValueError("path sums over different fields")
 
     def __str__(self) -> str:

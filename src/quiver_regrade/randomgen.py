@@ -214,7 +214,7 @@ def random_morphism(
     """
     if source.quiver != target.quiver or source.window != target.window:
         raise ValueError("morphism endpoints must share quiver and window")
-    if source.field != target.field:
+    if source.field is not target.field:
         raise ValueError("morphism endpoints must share the field")
     field = source.field
     is_zero, neg = field.is_zero, field.neg

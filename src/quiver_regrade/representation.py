@@ -114,7 +114,7 @@ class GradedRep:
                     f"matrix for ({name!r}, {d}) has shape {m.rows}x{m.cols}, "
                     f"expected {tdim}x{sdim}"
                 )
-            if m.field is not field and m.field != field:
+            if m.field is not field:
                 raise ValueError(f"matrix for ({name!r}, {d}) is over the wrong field")
 
     @staticmethod
@@ -274,7 +274,7 @@ class GradedMorphism:
         src, tgt, blocks = self.source, self.target, self.blocks
         if src.quiver != tgt.quiver:
             raise QuiverMismatchError("morphism endpoints live on different quivers")
-        if src.window != tgt.window or src.field != tgt.field:
+        if src.window != tgt.window or src.field is not tgt.field:
             raise ValueError("morphism endpoints disagree on window or field")
         src_dims, tgt_dims, field = src.dims, tgt.dims, src.field
         for (v, d), m in blocks.items():
@@ -285,7 +285,7 @@ class GradedMorphism:
                 raise ValueError(
                     f"block at ({v!r}, {d}) has shape {m.rows}x{m.cols}, expected {nt}x{ns}"
                 )
-            if m.field is not field and m.field != field:
+            if m.field is not field:
                 raise ValueError(f"block at ({v!r}, {d}) is over the wrong field")
         arrow_map, tgt_mats = src.quiver.arrow_map, tgt.mats
         for (name, d), src_mat in src.mats.items():

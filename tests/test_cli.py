@@ -94,6 +94,29 @@ class TestDiscrepancy:
         assert main(["discrepancy", str(p)]) == 0
         assert capsys.readouterr().out.strip() == "0"
 
+    # int() reads these as 10 and 2, for a discrepancy of 9 and 1
+    @pytest.mark.parametrize("degree", ["1_0", "\u0662"])
+    def test_degree_in_ascii_digits_only(self, tmp_path, capsys, degree):
+        p = tmp_path / "loop.quiver"
+        p.write_text(f"[quiver]\nvertex v\narrow x v v {degree}\n", encoding="utf-8")
+        assert main(["discrepancy", str(p)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"line 3, col 1: degree must be an integer, got {degree!r}" in captured.err
+        assert "Traceback" not in captured.err
+
+
+def test_arrow_named_as_a_trivial_path_is_refused(tmp_path, capsys):
+    # read as the arrow, e_v gave hilbert --max-degree 3 the table 1 2 3 4
+    p = tmp_path / "ev.quiver"
+    p.write_text("[quiver]\nvertex v\narrow x v v 1\narrow e_v v v 1\n\n"
+                 "[relations]\nx*x - e_v*x\n")
+    for argv in (["validate", str(p)], ["hilbert", str(p), "--max-degree", "3"]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "line 4, col 1: arrow name 'e_v' begins with 'e_'" in captured.err
+
 
 class TestSplit:
     def test_splits_named_arrow(self, kxy_file, capsys):
@@ -481,7 +504,8 @@ class TestUsage:
         assert "must be at least" in captured.err
         assert captured.out == ""
 
-    @pytest.mark.parametrize("value", ["abc", "4", "1"])
+    # int() reads the last two as 7 and 101
+    @pytest.mark.parametrize("value", ["abc", "4", "1", "\u0667", "1_01"])
     @pytest.mark.parametrize(
         "argv",
         [["hilbert", "KXY", "--max-degree", "2"], ["verify", "--suite", "split", "--trials", "1"]],
@@ -526,6 +550,25 @@ class TestUsage:
         assert proc.stdout == ""
         assert "at or above the modulus bound 2**64" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    # int() reads each of these as an integer
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--suite", "split", "--seed", "\u0667"],
+            ["verify", "--suite", "split", "--trials", "1_0"],
+            ["verify", "--suite", "split", "--max-dim", "+2"],
+            ["verify", "--suite", "split", "--window=\u0662:5"],
+            ["hilbert", "KXY", "--max-degree", " 3"],
+        ],
+        ids=["seed", "trials", "max-dim", "window", "max-degree"],
+    )
+    def test_integer_flags_take_ascii_digits_only(self, argv, kxy_file, capsys):
+        argv = [kxy_file if a == "KXY" else a for a in argv]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: argument" in captured.err and "Traceback" not in captured.err
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

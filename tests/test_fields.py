@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,9 +18,14 @@ from quiver_regrade import (
     QQ,
     PrimeField,
     Rationals,
+    DegreeWindow,
+    Matrix,
+    PathSum,
     default_prime,
     parse_field_spec,
+    trivial_path,
 )
+from quiver_regrade.randomgen import random_quiver, random_rep
 
 
 # the smallest composites that pass Miller-Rabin to the first 12 and 13 prime bases
@@ -156,6 +164,24 @@ class TestFieldSpecParsing:
             parse_field_spec(bad)
 
 
+@pytest.mark.parametrize("field", [QQ, GF(7), GF(32003), GF(4294967311)], ids=lambda f: f.spec)
+def test_one_object_per_field(field):
+    assert (Rationals() if field is QQ else PrimeField(field.p)) is field
+    for c in (copy.copy(field), copy.deepcopy(field), pickle.loads(pickle.dumps(field))):
+        assert c is field
+    # values over the field hold it, so their deep copies hold it too and compare equal
+    q = random_quiver(random.Random(3))
+    rep = random_rep(random.Random(3), q, DegreeWindow(0, 3), field)
+    v = q.vertices[0]
+    for value in (
+        PathSum.of_path(field, trivial_path(v), field.from_int(2)),
+        Matrix.from_rows(field, [[1, 2], [3, 4]]),
+        rep,
+    ):
+        twin = copy.deepcopy(value)
+        assert twin == value and twin.field is field
+
+
 class TestDefaultPrime:
     def test_default(self, monkeypatch):
         monkeypatch.delenv(PRIME_ENV_VAR, raising=False)
@@ -168,6 +194,13 @@ class TestDefaultPrime:
     def test_env_rejects_composite(self, monkeypatch):
         monkeypatch.setenv(PRIME_ENV_VAR, "100")
         with pytest.raises(ValueError):
+            default_prime()
+
+    # int() reads each of these as an integer: 7, 101, 101 and 101
+    @pytest.mark.parametrize("raw", ["\u0667", "1_01", "+101", " 101"])
+    def test_env_takes_ascii_digits_only(self, monkeypatch, raw):
+        monkeypatch.setenv(PRIME_ENV_VAR, raw)
+        with pytest.raises(ValueError, match=f"{PRIME_ENV_VAR} must be an integer"):
             default_prime()
 
     def test_env_rejects_modulus_above_the_bound(self, monkeypatch):

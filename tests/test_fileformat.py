@@ -150,6 +150,24 @@ class TestDiagnostics:
         assert "positive" in ds[0].message
         assert "integer" in ds[1].message
 
+    # int() reads these as 10, 2 and 1
+    @pytest.mark.parametrize("degree", ["1_0", "\u0662", "+1"])
+    def test_degree_takes_ascii_digits_only(self, degree):
+        ds = diagnostics_of(f"[quiver]\nvertex v\narrow x v v {degree}\n")
+        assert [(d.line, d.col, d.message) for d in ds] == [
+            (3, 1, f"degree must be an integer, got {degree!r}")
+        ]
+
+    def test_arrow_name_that_reads_as_a_trivial_path(self):
+        # e_v would shadow the trivial path at v: x*x - e_v*x would read it as
+        # the arrow, and a trivial path at v would serialize as e_v
+        ds = diagnostics_of(
+            "[quiver]\nvertex v\narrow x v v 1\narrow e_v v v 1\narrow e_w v v 1\n"
+            "[relations]\nx*x - e_v*x\n"
+        )
+        assert [(d.line, d.col) for d in ds] == [(4, 1), (5, 1)]
+        assert ds[0].message == "arrow name 'e_v' begins with 'e_', which is kept for trivial paths"
+
     def test_duplicates(self):
         ds = diagnostics_of(
             "[quiver]\nvertex v\nvertex v\narrow x v v 1\narrow x v v 1\n"

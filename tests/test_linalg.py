@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import dense_nullspace, dense_rref
 from quiver_regrade import GF, QQ, Matrix, kernel_basis, rank, rank_naive
-from quiver_regrade.fields import PrimeField
+from quiver_regrade.fields import PrimeField, Rationals
 from quiver_regrade.linalg import Echelon
 
 FIELDS = [QQ, GF(7), GF(32003), GF(4294967311)]  # the last exceeds int64 products
@@ -196,18 +196,14 @@ class TestShortcuts:
             assert repr(z) == repr(mk(field, [[0] * c for _ in range(r)], c))
 
     def test_equal_fields_give_equal_matrices(self):
-        # distinct objects that compare equal: the caches key on the object
-        fresh, cached = PrimeField(32003), GF(32003)
-        assert fresh is not cached and fresh == cached
-        for n in range(4):
-            assert Matrix.identity(fresh, n) == Matrix.identity(cached, n)
-            assert Matrix.identity(fresh, n).field is fresh
-            assert Matrix.identity(fresh, n).mul(Matrix.identity(cached, n)).entries == (
-                Matrix.identity(cached, n).entries
-            )
-            for c in range(4):
-                assert Matrix.zero(fresh, n, c) == Matrix.zero(cached, n, c)
-                assert Matrix.zero(fresh, n, c).field is fresh
+        # one object per field, however it is made: its matrices are the shared ones
+        assert PrimeField(32003) is GF(32003) and Rationals() is QQ
+        for field, again in ((GF(32003), PrimeField(32003)), (QQ, Rationals())):
+            for n in range(4):
+                assert Matrix.identity(again, n) is Matrix.identity(field, n)
+                assert Matrix.identity(again, n).field is field
+                for c in range(4):
+                    assert Matrix.zero(again, n, c) is Matrix.zero(field, n, c)
 
     @pytest.mark.parametrize("field", SHORTCUT_FIELDS)
     def test_rank_of_identity(self, field):
