@@ -4,8 +4,10 @@ Subcommands: validate, discrepancy, split, regrade, hilbert, verify.
 Each handler returns its stdout lines and its exit status, and ``main``
 writes the lines through one writer, which also writes the ``-h`` help, so
 a full or closed stdout is a ``cannot write stdout`` failure for every
-subcommand and for the help.  Diagnostics and timing go to stderr.  Exit
-codes: 0 success, 1 validation or verification failure, 2 usage error.
+subcommand and for the help.  Diagnostics and timing go to stderr through
+one writer, which drops its lines when stderr is closed or cannot be
+written, so that stdout and the exit status stay what they would have been.
+Exit codes: 0 success, 1 validation or verification failure, 2 usage error.
 
 The ``hilbert`` and ``verify`` handlers import their layers when they run,
 and building the parser reads none of them, so the other subcommands start
@@ -110,11 +112,10 @@ def regrade_lines(result: RegradeResult) -> Iterator[str]:
     """The splits as comments, then the final presentation, line by line."""
     n = len(result.splits)
     yield f"# regrade: {n} split" + ("" if n == 1 else "s") + "\n"
-    for b, first, second in result.splits:
+    for (name, source, target, _), (first, _, z, _), (second, _, _, degree) in result.splits:
         yield (
-            f"# split {b.name}: {first.name} ({b.source} -> {first.target}, "
-            f"degree 1), {second.name} ({second.source} -> {b.target}, "
-            f"degree {second.degree})\n"
+            f"# split {name}: {first} ({source} -> {z}, degree 1), "
+            f"{second} ({z} -> {target}, degree {degree})\n"
         )
     yield from presentation_lines(result.final_quiver, result.final_ideal)
 
@@ -136,6 +137,18 @@ def _write(lines: Iterable[str], output: str | None) -> None:
     except OSError as exc:
         name = "stdout" if output is None else output
         raise _CliFailure(f"cannot write {name}: {exc}") from exc
+
+
+def _note(line: str) -> None:
+    """Write one line to stderr, or drop it when stderr is closed (``None``,
+    where ``print`` would write to stdout) or fails."""
+    if sys.stderr is None:
+        return
+    try:
+        sys.stderr.write(f"{line}\n")
+        sys.stderr.flush()
+    except OSError:
+        pass
 
 
 class _Parser(argparse.ArgumentParser):
@@ -198,10 +211,9 @@ def _cmd_hilbert(args) -> tuple[Iterable[str], int]:
             for row in hilbert_table(q, ideal, max_degree, vertex=args.vertex, field=field):
                 yield f"{row.degree} {row.dim}\n"
                 if args.stats:
-                    print(
+                    _note(
                         f"degree {row.degree}: {row.dim} normal paths, {row.basis_added} basis "
-                        f"elements added, {row.rows} echelon rows, {row.seconds:.4f}s",
-                        file=sys.stderr,
+                        f"elements added, {row.rows} echelon rows, {row.seconds:.4f}s"
                     )
         except PathCountLimit as exc:
             raise _CliFailure(str(exc)) from exc
@@ -223,8 +235,8 @@ def _cmd_verify(args) -> tuple[Iterable[str], int]:
     elapsed = time.perf_counter() - started
     for rep in reports:
         for r in rep.results:
-            print(f"property {r.name}: {r.wall_time:.2f}s", file=sys.stderr)
-    print(f"wall time: {elapsed:.2f}s", file=sys.stderr)
+            _note(f"property {r.name}: {r.wall_time:.2f}s")
+    _note(f"wall time: {elapsed:.2f}s")
     return [text], 0 if all(rep.ok() for rep in reports) else 1
 
 
@@ -296,10 +308,10 @@ def main(argv=None) -> int:
         _write(lines, getattr(args, "output", None))
         return status
     except _CliFailure as exc:
-        print(str(exc), file=sys.stderr)
+        _note(str(exc))
         return 1
     except _UsageError as exc:
-        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        _note(f"{parser.prog}: error: {exc}")
         return 2
 
 

@@ -28,10 +28,20 @@ Every diagnostic carries a 1-based line and column.  Parsing collects as
 many diagnostics as it can before raising.  A relation whose terms mix
 degrees is rejected; one whose terms mix endpoints at a single degree is
 silently refined into its uniform components, which generate the same
-two-sided ideal.  The tokens of a line are read once, as plain strings from
-one regex call, and each term's path is built once, when the term ends, so
-the parse is linear in the length of the line.  A token's column is
-computed only when a diagnostic is raised.
+two-sided ideal.
+
+A relation line is read by one of two parts.  The term scanner reads a
+well-formed line: one regex matches a whole term from where the last one
+ended, so Python runs once per term and once per atom, not once per token,
+and each term's path is built once, after the whole line is accepted.  It
+explains nothing.  On a line it refuses, for a bad character, a grammar
+error, an unknown atom, paths that do not compose, a bad coefficient,
+mixed degrees or a zero relation, the token machine reads the line again
+one token at a time and raises the first diagnostic, with its column.  It
+stays as the only source of a diagnostic because only it knows which
+token is wrong and what was expected there.  Both are linear in the
+length of the line, and a token's column is computed only when a
+diagnostic is raised.
 """
 
 from __future__ import annotations
@@ -40,6 +50,7 @@ import re
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import islice
 from operator import itemgetter
 
@@ -94,8 +105,96 @@ def _column(text: str, index: int) -> int:
 
 def _parse_expression(text: str, line: int, q: WeightedQuiver) -> PathSum:
     """One relation: ``['-'] term (('+' | '-') term)*`` with
-    ``term = [coefficient '*'] atom ('*' atom)*``.  The whole line is scanned
-    first, so an unexpected character wins over an earlier grammar error."""
+    ``term = [coefficient '*'] atom ('*' atom)*``.  The term scanner reads a
+    well-formed line; the token machine reads any line it refuses."""
+    total = _scan_expression(text, q)
+    return _parse_tokens(text, line, q) if total is None else total
+
+
+# One term with the blanks around it: its sign, the numerator and the
+# denominator of its coefficient, and its atoms joined by '*'.  Every term
+# after the first must begin with a sign, so a regex backtrack into a
+# shorter identifier or number can never be accepted: the match would end
+# inside the token, where no sign can follow, and the line is refused.  So
+# the pattern needs no atomic group or possessive quantifier, which arrived
+# in Python 3.11.  A term starts where the blanks after the last one end,
+# and a relation line is stripped, so no blank run is split between two
+# ``\s*`` around an empty sign, which would be quadratic in the run.
+_TERM = re.compile(
+    rf"([-+]?)\s*(?:([0-9]+)(?:/([0-9]+))?\s*\*\s*)?"
+    rf"({_IDENT.pattern}(?:\s*\*\s*{_IDENT.pattern})*)\s*"
+)
+
+
+@lru_cache(maxsize=256)
+def _coefficient(sign: str, num: str, den: str | None) -> Fraction:
+    """The coefficient ``sign num/den``, cached: a file repeats a few."""
+    n = int(sign + num)
+    return Fraction(n, int(den)) if den else Fraction(n)
+
+
+def _scan_expression(text: str, q: WeightedQuiver) -> PathSum | None:
+    """The relation on a well-formed line, or None on a line with anything
+    to report, which ``_parse_tokens`` then explains.
+
+    One ``_TERM`` match per term, from the end of the last one, so the line
+    is never sliced, and one step per atom.  Each term's path is built once,
+    after the whole line is accepted."""
+    arrow_map, vertices = q.arrow_map, q.vertex_set
+    match, atoms = _TERM.match, _IDENT.findall
+    terms: list[tuple[str, str, int, tuple[str, ...], Fraction]] = []
+    pos, size = 0, len(text)
+    while pos < size:
+        m = match(text, pos)
+        if m is None:
+            return None
+        sign, num, den = m.group(1, 2, 3)
+        if (not sign) if terms else sign == "+":
+            return None
+        if num is None:
+            coeff = _SIGN[sign or "+"][1]
+        else:
+            try:
+                coeff = _coefficient(sign, num, den)
+            except (ZeroDivisionError, ValueError):
+                return None
+        names = atoms(text, *m.span(4))
+        source = end = None
+        degree, trivial = 0, False
+        for name in names:
+            arrow = arrow_map.get(name)
+            if arrow is None:  # a trivial path keeps the end vertex
+                vertex = name[2:]
+                if not name.startswith("e_") or vertex not in vertices:
+                    return None
+                if end is None:
+                    source = end = vertex
+                elif end != vertex:
+                    return None
+                trivial = True
+                continue
+            if end is None:
+                source = arrow.source
+            elif end != arrow.source:
+                return None
+            end, degree = arrow.target, degree + arrow.degree
+        if trivial:
+            names = [name for name in names if name in arrow_map]
+        terms.append((source, end, degree, tuple(names), coeff))
+        pos = m.end()
+    if not terms:
+        return None
+    degree = terms[0][2]
+    if any(term[2] != degree for term in terms):
+        return None
+    total = PathSum.make(QQ, [(Path(s, t, d, names), c) for s, t, d, names, c in terms])
+    return None if total.is_zero() else total
+
+
+def _parse_tokens(text: str, line: int, q: WeightedQuiver) -> PathSum:
+    """The token machine: the relation, or the first diagnostic of the line.
+    The whole line is tokenized first, so an unexpected character wins over
+    an earlier grammar error."""
 
     def fail(col: int, message: str):
         raise PresentationError([Diagnostic(line, col, message)])
@@ -306,8 +405,8 @@ def presentation_lines(q: WeightedQuiver, ideal: IdealPresentation) -> Iterator[
     yield "[quiver]\n"
     for v in sorted(q.vertices):
         yield f"vertex {v}\n"
-    for a in sorted(q.arrows, key=lambda a: a.name):
-        yield f"arrow {a.name} {a.source} {a.target} {a.degree}\n"
+    for name, source, target, degree in sorted(q.arrows, key=itemgetter(0)):
+        yield f"arrow {name} {source} {target} {degree}\n"
     if len(ideal):
         yield "\n"
         yield "[relations]\n"

@@ -6,20 +6,27 @@ arrow ``a1`` is traversed first, and ``p * q`` concatenates when
 one-sided identities at their vertex.  Path sums keep a canonical term order
 (degree, source, target, arrow sequence) with no zero coefficients, so equal
 sums have identical serializations.
+
+A ``Path`` is a ``typing.NamedTuple`` ``(source, target, degree, arrows)``,
+built at tuple speed because the parse makes one per term and the regrade
+one per moved term.  It compares equal to the plain tuple of its fields,
+orders and iterates as that tuple does, and refuses assignment to a field;
+``path._replace(...)`` is its ``dataclasses.replace``.  A ``PathSum`` stays
+a dataclass, so that ``+`` and ``len`` cannot silently act on a sum as on
+a tuple.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import groupby
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .fields import QQ, Field, Scalar
 from .quiver import WeightedQuiver
 
 
-@dataclass(frozen=True)
-class Path:
+class Path(NamedTuple):
     source: str
     target: str
     degree: int

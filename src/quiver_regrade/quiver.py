@@ -3,16 +3,22 @@
 Vertices and arrows are identified by name.  Loops and parallel arrows are
 fully supported.  Construction sorts both vertex and arrow lists so that
 iteration order, serialization, and everything downstream is deterministic.
+
+An ``Arrow`` is a ``typing.NamedTuple`` ``(name, source, target, degree)``,
+built at tuple speed because the regrade makes two per split.  It compares
+equal to the plain tuple of its fields, orders and iterates as that tuple
+does, and refuses assignment to a field; ``arrow._replace(degree=2)`` is
+its ``dataclasses.replace``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Arrow:
+class Arrow(NamedTuple):
     name: str
     source: str
     target: str

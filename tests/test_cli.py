@@ -292,6 +292,39 @@ class TestWriteFailure:
         self._fails(argv, kxy_file, capsys, "stdout is closed")
 
 
+class TestStderrFailure:
+    """Stderr that is closed or full drops the diagnostics and the timing
+    lines; stdout and the exit status stay what they are with a working
+    stderr."""
+
+    @staticmethod
+    def _run(argv, closed: bool) -> subprocess.CompletedProcess:
+        cli = [sys.executable, "-m", "quiver_regrade.cli", *argv]
+        if closed:
+            # a process started with fd 2 closed has sys.stderr None
+            return subprocess.run(["sh", "-c", 'exec 2>&-; exec "$@"', "sh", *cli],
+                                  stdout=subprocess.PIPE, text=True)
+        with open("/dev/full", "w") as full:
+            return subprocess.run(cli, stdout=subprocess.PIPE, stderr=full, text=True)
+
+    @pytest.mark.parametrize("closed", [True, False], ids=["closed", "full"])
+    def test_hilbert_stats(self, closed, golden_dir):
+        argv = ["hilbert", str(golden_dir / "kxy.quiver"), "--max-degree", "1", "--stats"]
+        proc = self._run(argv, closed)
+        assert (proc.returncode, proc.stdout) == (0, "0 1\n1 1\n")
+
+    def test_failure_on_closed_stderr_keeps_stdout_empty(self):
+        proc = self._run(["validate", "/nonexistent"], closed=True)
+        assert (proc.returncode, proc.stdout) == (1, "")
+
+    def test_verify_on_full_stderr(self):
+        argv = ["verify", "--suite", "split", "--trials", "2"]
+        expected = subprocess.run([sys.executable, "-m", "quiver_regrade.cli", *argv],
+                                  capture_output=True, text=True, check=True).stdout
+        proc = self._run(argv, closed=False)
+        assert (proc.returncode, proc.stdout) == (0, expected)
+
+
 def _hilbert_table(argv, capsys) -> list[tuple[int, int]]:
     assert main(["hilbert", *argv]) == 0
     return [tuple(map(int, line.split())) for line in capsys.readouterr().out.splitlines()]

@@ -10,7 +10,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from quiver_regrade import PresentationError, fileformat, parse_presentation, serialize_presentation
@@ -118,6 +118,12 @@ class TestLinearParse:
         assert built.call_count <= 4
         (gen,) = ideal.generators
         assert str(gen.sum) == "x*x*x + x*y*x - 2*y*x*y - 1/3*y*y*y"
+
+    def test_scanner_builds_no_path_before_the_line_is_accepted(self):
+        q, _ = parse_presentation("[quiver]\nvertex v\narrow x v v 1\narrow y v v 1\n")
+        with mock.patch.object(fileformat, "Path", side_effect=Path) as built:
+            assert fileformat._scan_expression("x*y - 2*y*x + x*q", q) is None
+        assert built.call_count == 0
 
     def test_long_product_is_one_term(self):
         n = 40_000
@@ -381,8 +387,8 @@ def test_expression_diagnostic_positions(relation, col, message):
     assert (d.line, d.col, d.message) == (7, col, message)
 
 
-# The expression parser as it was before the one-pass scanner: a character
-# loop and a peek/advance term parser, kept as the reference the parser in
+# An expression parser with a character loop and a peek/advance term
+# parser, kept as the reference the term scanner and the token machine in
 # ``fileformat`` must agree with, diagnostic for diagnostic.
 _REFERENCE_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
 _REFERENCE_NUMBER = re.compile(r"[0-9]+(/[0-9]+)?")
@@ -547,7 +553,7 @@ RELATION_FRAGMENTS = FRAGMENTS + [
     "e_w", "7" * (getattr(sys, "get_int_max_str_digits", lambda: 0)() + 1)
 ]
 # those split into operands and the glue between them, so that most lines get
-# past the scanner and reach every diagnostic of the term grammar
+# past the tokenizer and reach every diagnostic of the term grammar
 OPERANDS = [
     f for f in RELATION_FRAGMENTS if re.fullmatch(r"[A-Za-z0-9_'/]+", f) and f != "/"
 ]
@@ -560,13 +566,93 @@ relation_like = st.one_of(
 )
 
 
-@settings(max_examples=300, deadline=None)
-@given(lines=st.lists(relation_like, min_size=1, max_size=3))
-def test_parser_agrees_with_reference(lines):
-    text = DIFFERENTIAL_QUIVER + "\n".join(lines) + "\n"
+# every arrow has degree 1, and the names carry digits and apostrophes
+WELL_FORMED_QUIVER = (
+    "[quiver]\nvertex u\nvertex w\narrow x u u 1\narrow x2 u u 1\narrow y' u w 1\n"
+    "arrow y''3 w u 1\narrow v_9 w w 1\n[relations]\n"
+)
+WELL_FORMED_OUT = {"u": ["x", "x2", "y'"], "w": ["y''3", "v_9"]}
+WELL_FORMED_TARGET = {"x": "u", "x2": "u", "y'": "w", "y''3": "u", "v_9": "w"}
+BLANKS = st.sampled_from(["", " ", "  ", "\t", " \t ", "    "])
+
+
+@st.composite
+def well_formed_relation(draw):
+    """A relation the grammar accepts: 1-6 terms of one degree, each a walk
+    with trivial paths mixed in and an optional integer or a/b coefficient,
+    with tabs and runs of spaces around every operator."""
+    length = draw(st.integers(0, 4))  # the arrows of each term: one degree per line
+    text = "-" + draw(BLANKS) if draw(st.booleans()) else ""
+    for k in range(draw(st.integers(1, 6))):
+        if k:
+            text += draw(BLANKS) + draw(st.sampled_from("+-")) + draw(BLANKS)
+        coeff = draw(st.one_of(
+            st.none(),
+            st.integers(0, 99).map(str),
+            st.tuples(st.integers(0, 99), st.integers(1, 99)).map("{0[0]}/{0[1]}".format),
+        ))
+        star = draw(BLANKS) + "*" + draw(BLANKS)
+        if coeff is not None:
+            text += coeff + star
+        vertex = draw(st.sampled_from(["u", "w"]))
+        atoms = []
+        # one draw per arrow: which arrow out of the vertex, and, from 6 up,
+        # the trivial path at the vertex before it
+        for pick in draw(st.lists(st.integers(0, 7), min_size=length, max_size=length)):
+            if pick >= 6:
+                atoms.append(f"e_{vertex}")
+            out = WELL_FORMED_OUT[vertex]
+            atoms.append(out[pick % len(out)])
+            vertex = WELL_FORMED_TARGET[atoms[-1]]
+        if not atoms or draw(st.integers(0, 3)) == 0:
+            atoms.append(f"e_{vertex}")
+        text += star.join(atoms)
+    return text
+
+
+relation_case = st.one_of(
+    st.tuples(st.just(DIFFERENTIAL_QUIVER), st.lists(relation_like, min_size=1, max_size=3)),
+    st.tuples(
+        st.just(WELL_FORMED_QUIVER), st.lists(well_formed_relation(), min_size=1, max_size=3)
+    ),
+)
+
+
+# 600 examples: about 300 of the mostly malformed lines, 300 of the well-formed
+@settings(max_examples=600, deadline=None)
+@given(case=relation_case)
+def test_parser_agrees_with_reference(case):
+    quiver, lines = case
+    text = quiver + "\n".join(lines) + "\n"
     with mock.patch.object(fileformat, "_parse_expression", _reference_parse_expression):
         expected = _outcome(text)
     assert _outcome(text) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=st.one_of(
+    st.tuples(st.just(DIFFERENTIAL_QUIVER), relation_like),
+    st.tuples(st.just(WELL_FORMED_QUIVER), well_formed_relation()),
+))
+def test_scanner_refuses_exactly_the_lines_the_token_machine_rejects(case):
+    quiver, text = case
+    # a relation line as parse_presentation hands it on: one line, no comment, stripped
+    line = re.split(r"[\r\n#]", text)[0].strip()
+    assume(line)
+    q, _ = parse_presentation(quiver)
+    try:
+        expected = fileformat._parse_tokens(line, 1, q)
+    except PresentationError:
+        expected = None
+    assert fileformat._scan_expression(line, q) == expected
+
+
+def test_well_formed_lines_reach_the_scanner_result():
+    relation = "-\t2/3 *  x2*e_u  *y'  +  y'*e_w\t*v_9 - 7*x*y'"
+    q, _ = parse_presentation(WELL_FORMED_QUIVER)
+    with mock.patch.object(fileformat, "_parse_tokens", side_effect=AssertionError):
+        _, ideal = parse_presentation(WELL_FORMED_QUIVER + relation + "\n")
+    assert [str(g.sum) for g in ideal] == ["-7*x*y' - 2/3*x2*y' + y'*v_9"]
 
 
 # composition through trivial paths, where the parser tracks the end vertex

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from quiver_regrade import (
     GF,
+    Arrow,
     Path,
     PathCountLimit,
     PathSum,
@@ -83,6 +84,25 @@ class TestPath:
 
     def test_trivial_mismatch(self):
         assert multiply_paths(trivial_path("u"), trivial_path("v")) is None
+
+    @pytest.mark.parametrize(
+        "record, field",
+        [(Path("u", "v", 2, ("a", "b")), "degree"), (Arrow("a", "u", "v", 1), "name")],
+        ids=["Path", "Arrow"],
+    )
+    def test_records_are_immutable_named_tuples(self, record, field):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 3)
+        changed = record._replace(**{field: 3})
+        assert getattr(changed, field) == 3 and getattr(record, field) != 3
+        assert record == tuple(record)
+
+    def test_path_repr_and_order(self):
+        p = Path("v", "v", 1, ("x",))
+        assert repr(p) == "Path(source='v', target='v', degree=1, arrows=('x',))"
+        assert str(p) == "x" and str(trivial_path("v")) == "e_v"
+        assert p._replace(arrows=("y",)) == ("v", "v", 1, ("y",))
+        assert sorted([p, trivial_path("v")]) == [trivial_path("v"), p]
 
 
 class TestEnumeratePaths:

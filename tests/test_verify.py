@@ -151,7 +151,7 @@ class TestSplitCheck:
             # the second half keeps the old degree, so the discrepancy stays
             t = real(q, name)
             arrows = [a for a in t.after.arrows if a.name != t.second]
-            arrows.append(replace(t.after.arrow(t.second), degree=t.arrow.degree))
+            arrows.append(t.after.arrow(t.second)._replace(degree=t.arrow.degree))
             return replace(t, after=WeightedQuiver.build(t.after.vertices, arrows))
 
         monkeypatch.setattr(verify, "split_arrow", malformed)
