@@ -112,10 +112,11 @@ def regrade_lines(result: RegradeResult) -> Iterator[str]:
     """The splits as comments, then the final presentation, line by line."""
     n = len(result.splits)
     yield f"# regrade: {n} split" + ("" if n == 1 else "s") + "\n"
-    for (name, source, target, _), (first, _, z, _), (second, _, _, degree) in result.splits:
+    for b, first, second in result.splits:
         yield (
-            f"# split {name}: {first} ({source} -> {z}, degree 1), "
-            f"{second} ({z} -> {target}, degree {degree})\n"
+            f"# split {b.name}: {first.name} ({b.source} -> {first.target}, "
+            f"degree 1), {second.name} ({second.source} -> {b.target}, "
+            f"degree {second.degree})\n"
         )
     yield from presentation_lines(result.final_quiver, result.final_ideal)
 
@@ -141,14 +142,16 @@ def _write(lines: Iterable[str], output: str | None) -> None:
 
 def _note(line: str) -> None:
     """Write one line to stderr, or drop it when stderr is closed (``None``,
-    where ``print`` would write to stdout) or fails."""
+    where ``print`` would write to stdout) or fails.  After a failure,
+    ``sys.stderr`` becomes ``None``: the failed line stays in its buffer, and
+    the interpreter would flush it again at exit and turn the status to 120."""
     if sys.stderr is None:
         return
     try:
         sys.stderr.write(f"{line}\n")
         sys.stderr.flush()
     except OSError:
-        pass
+        sys.stderr = None
 
 
 class _Parser(argparse.ArgumentParser):

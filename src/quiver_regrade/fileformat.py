@@ -50,7 +50,6 @@ import re
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import islice
 from operator import itemgetter
 
@@ -126,20 +125,21 @@ _TERM = re.compile(
 )
 
 
-@lru_cache(maxsize=256)
-def _coefficient(sign: str, num: str, den: str | None) -> Fraction:
-    """The coefficient ``sign num/den``, cached: a file repeats a few."""
-    n = int(sign + num)
-    return Fraction(n, int(den)) if den else Fraction(n)
-
-
 def _scan_expression(text: str, q: WeightedQuiver) -> PathSum | None:
     """The relation on a well-formed line, or None on a line with anything
     to report, which ``_parse_tokens`` then explains.
 
     One ``_TERM`` match per term, from the end of the last one, so the line
     is never sliced, and one step per atom.  Each term's path is built once,
-    after the whole line is accepted."""
+    after the whole line is accepted.
+
+    Each check here (the grammar, a known atom and the ``e_`` rule, paths
+    that compose, the coefficient, one degree, a nonzero sum) mirrors one
+    that ``_parse_tokens`` raises, and a change to either must be made to
+    both: a line accepted here never reaches the token machine, and a line
+    refused here that the token machine accepts is read twice.  ``test_parser_agrees_with_reference``
+    and ``test_scanner_refuses_exactly_the_lines_the_token_machine_rejects``
+    compare the two."""
     arrow_map, vertices = q.arrow_map, q.vertex_set
     match, atoms = _TERM.match, _IDENT.findall
     terms: list[tuple[str, str, int, tuple[str, ...], Fraction]] = []
@@ -155,7 +155,8 @@ def _scan_expression(text: str, q: WeightedQuiver) -> PathSum | None:
             coeff = _SIGN[sign or "+"][1]
         else:
             try:
-                coeff = _coefficient(sign, num, den)
+                n = int(sign + num)
+                coeff = Fraction(n, int(den)) if den else Fraction(n)
             except (ZeroDivisionError, ValueError):
                 return None
         names = atoms(text, *m.span(4))
@@ -405,8 +406,8 @@ def presentation_lines(q: WeightedQuiver, ideal: IdealPresentation) -> Iterator[
     yield "[quiver]\n"
     for v in sorted(q.vertices):
         yield f"vertex {v}\n"
-    for name, source, target, degree in sorted(q.arrows, key=itemgetter(0)):
-        yield f"arrow {name} {source} {target} {degree}\n"
+    for a in sorted(q.arrows, key=lambda a: a.name):
+        yield f"arrow {a.name} {a.source} {a.target} {a.degree}\n"
     if len(ideal):
         yield "\n"
         yield "[relations]\n"

@@ -228,16 +228,16 @@ def _table(q, ideal, max_degree, vertex, target, field, max_paths) -> Iterator[H
         started = time.perf_counter()
         added, rows = basis.grow(d)
         elements, level, count = basis.elements, {}, 0
-        for name, source, target_a, degree_a in arrows:
-            ps = walk.get(d - degree_a, {}).get(source)
+        for a in arrows:
+            ps = walk.get(d - a.degree, {}).get(a.source)
             if not ps:
                 continue
             # p is normal, so a leading path inside p*a is a suffix ending at a
-            ks = basis.ending.get(name, ())
-            ext = [w for w in (p + (name,) for p in ps)
+            ks = basis.ending.get(a.name, ())
+            ext = [w for w in (p + (a.name,) for p in ps)
                    if not any(w[-k:] in elements for k in ks)]
             if ext:
-                level.setdefault(target_a, []).extend(ext)
+                level.setdefault(a.target, []).extend(ext)
                 count += len(ext)
         if max_paths is not None and count > max_paths:
             raise PathCountLimit(f"degree {d}: more than {max_paths} normal paths")

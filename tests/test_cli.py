@@ -300,12 +300,15 @@ class TestStderrFailure:
     @staticmethod
     def _run(argv, closed: bool) -> subprocess.CompletedProcess:
         cli = [sys.executable, "-m", "quiver_regrade.cli", *argv]
+        # stdio buffered as by default: a failed stderr flush keeps its
+        # bytes, which the interpreter flushes again at exit
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
         if closed:
             # a process started with fd 2 closed has sys.stderr None
             return subprocess.run(["sh", "-c", 'exec 2>&-; exec "$@"', "sh", *cli],
-                                  stdout=subprocess.PIPE, text=True)
+                                  stdout=subprocess.PIPE, text=True, env=env)
         with open("/dev/full", "w") as full:
-            return subprocess.run(cli, stdout=subprocess.PIPE, stderr=full, text=True)
+            return subprocess.run(cli, stdout=subprocess.PIPE, stderr=full, text=True, env=env)
 
     @pytest.mark.parametrize("closed", [True, False], ids=["closed", "full"])
     def test_hilbert_stats(self, closed, golden_dir):
